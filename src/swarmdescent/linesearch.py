@@ -10,7 +10,15 @@ coefficient (the base ``lam``, optionally scaled down by a relative-mass
 weight).  If the ladder reaches ``h_floor`` without an acceptable step the
 search reports a stall: step 0 and the unchanged objective value.
 
-The ladder restarts from ``h0`` on every call.
+The ladder restarts from ``h0`` on every call.  Every agent still searching
+therefore sits on the same rung, so :func:`backtrack_batch` evaluates the
+ladder in rung blocks: one objective call covers several consecutive rungs
+for all searching agents, and each agent takes the first rung of the block
+that it accepts.  Steps and heights are those of the rung-by-rung search.
+The reported evaluation count is the paper's count, the sequential ladder's
+evaluations up to and including the accepted rung (the whole ladder for a
+stalled agent).  The rungs a block evaluates past an agent's accepted one are
+not counted there, so more points are evaluated than that count shows.
 """
 
 from __future__ import annotations
@@ -22,6 +30,13 @@ import numpy as np
 from .objectives import Objective
 
 __all__ = ["BacktrackParams", "backtrack", "backtrack_batch"]
+
+# Points per objective call below which the per-call overhead dominates: a
+# block holds at least this many points even when few agents are searching.
+_MIN_POINTS = 128
+# Bound on the points of one call, which keeps a long ladder (gamma near 1)
+# from building one huge trial array.
+_MAX_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -92,7 +107,9 @@ def backtrack_batch(
     f_new : ndarray, shape (n,)
         Objective at the accepted trial point, or ``f_current`` where stalled.
     n_evals : int
-        Total number of objective evaluations spent on trial points.
+        Trial evaluations of the rung-by-rung search: each agent's rungs up
+        to and including the accepted one, the whole ladder for a stalled
+        agent.  Rungs a block evaluates beyond that are not counted.
     """
     X = np.asarray(positions, dtype=float)
     G = np.asarray(grads, dtype=float)
@@ -105,27 +122,32 @@ def backtrack_batch(
         raise ValueError(f"f_current must have shape ({n},), got {f_base.shape}")
 
     g_sq = np.sum(G * G, axis=1)
-    h_try = np.full(n, float(params.h0))
     h_out = np.zeros(n)
     f_out = f_base.copy()
-    active = np.ones(n, dtype=bool)
+    idx = np.arange(n)
     n_evals = 0
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        trial = X[idx] - h_try[idx][:, None] * G[idx]
-        f_trial = obj.evaluate_many(trial)
-        n_evals += idx.size
-        accept = f_trial <= f_base[idx] - coeff[idx] * h_try[idx] * g_sq[idx]
-        acc = idx[accept]
-        h_out[acc] = h_try[acc]
-        f_out[acc] = f_trial[accept]
-        active[acc] = False
-        rej = idx[~accept]
-        h_try[rej] *= params.gamma
-        stalled = rej[h_try[rej] <= params.h_floor]
-        active[stalled] = False
+    h_next = float(params.h0)
+    block = 1
+    while idx.size and h_next > params.h_floor:
+        # The next rungs, by the same repeated shrink as a rung-by-rung search.
+        size = min(max(block, -(-_MIN_POINTS // idx.size)), max(1, _MAX_POINTS // idx.size))
+        rungs = []
+        while len(rungs) < size and h_next > params.h_floor:
+            rungs.append(h_next)
+            h_next *= params.gamma
+        h_block = np.array(rungs)
+        k = h_block.size
+        trial = X[idx] - h_block[:, None, None] * G[idx]
+        f_trial = obj.evaluate_many(trial.reshape(-1, X.shape[1])).reshape(k, idx.size)
+        accept = f_trial <= f_base[idx] - coeff[idx] * h_block[:, None] * g_sq[idx]
+        hit = accept.any(axis=0)
+        first = accept.argmax(axis=0)
+        n_evals += int(np.where(hit, first + 1, k).sum())
+        acc = idx[hit]
+        h_out[acc] = h_block[first[hit]]
+        f_out[acc] = f_trial[first[hit], hit]
+        idx = idx[~hit]
+        block *= 2
     return h_out, f_out, n_evals
 
 

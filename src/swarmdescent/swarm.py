@@ -256,6 +256,23 @@ def transfer_mass(masses, eta, p: float, i_min: int, total: float | None = None)
     return out
 
 
+# Elements of one block of pairwise differences in `_has_close_pair`.
+_PAIR_BLOCK = 1 << 16
+
+
+def _has_close_pair(positions: np.ndarray, tol: float) -> bool:
+    """Whether two distinct rows of ``positions`` lie closer than ``tol``."""
+    n, d = positions.shape
+    rows = max(1, _PAIR_BLOCK // (n * d))
+    for lo in range(0, n, rows):
+        dist = np.linalg.norm(positions[lo : lo + rows, None, :] - positions[None, :, :], axis=2)
+        own = np.arange(dist.shape[0])
+        dist[own, lo + own] = np.inf
+        if np.any(dist < tol):
+            return True
+    return False
+
+
 def _merge_agents(
     positions: np.ndarray, masses: np.ndarray, heights: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -266,7 +283,9 @@ def _merge_agents(
     the masses.  Surviving agents keep their original relative order.
     """
     n = masses.size
-    if n <= 1:
+    # Merges are rare: skip the loop unless some pair is close.  The margin
+    # keeps this test conservative against rounding in the loop's distances.
+    if n <= 1 or not _has_close_pair(positions, tol * (1.0 + 1e-9)):
         return positions, masses, heights, 0
     cluster = np.full(n, -1, dtype=int)
     n_clusters = 0

@@ -2,11 +2,48 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swarmdescent import baselines, swarm
+from swarmdescent.cli import main as cli_main
+from swarmdescent.cli import preset_names
 from swarmdescent.linesearch import BacktrackParams, backtrack, backtrack_batch
 from swarmdescent.objectives import make_objective
 
 QUAD1 = make_objective("quadratic", 1)
+
+
+def reference_backtrack_batch(obj, positions, grads, c, params, f_current):
+    """The rung-by-rung ladder: one objective call per rung for the agents still searching."""
+    X = np.asarray(positions, dtype=float)
+    G = np.asarray(grads, dtype=float)
+    n = X.shape[0]
+    coeff = np.broadcast_to(np.asarray(c, dtype=float), (n,))
+    f_base = np.asarray(f_current, dtype=float)
+    g_sq = np.sum(G * G, axis=1)
+    h_try = np.full(n, float(params.h0))
+    h_out = np.zeros(n)
+    f_out = f_base.copy()
+    active = np.ones(n, dtype=bool)
+    n_evals = 0
+    while True:
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        trial = X[idx] - h_try[idx][:, None] * G[idx]
+        f_trial = obj.evaluate_many(trial)
+        n_evals += idx.size
+        accept = f_trial <= f_base[idx] - coeff[idx] * h_try[idx] * g_sq[idx]
+        acc = idx[accept]
+        h_out[acc] = h_try[acc]
+        f_out[acc] = f_trial[accept]
+        active[acc] = False
+        rej = idx[~accept]
+        h_try[rej] *= params.gamma
+        stalled = rej[h_try[rej] <= params.h_floor]
+        active[stalled] = False
+    return h_out, f_out, n_evals
 
 
 def test_quadratic_accepts_first_step():
@@ -160,3 +197,75 @@ def test_batch_shape_validation():
         backtrack_batch(QUAD1, np.zeros((3, 1)), np.zeros((2, 1)), 0.2, BacktrackParams(), np.zeros(3))
     with pytest.raises(ValueError):
         backtrack_batch(QUAD1, np.zeros((3, 1)), np.zeros((3, 1)), 0.2, BacktrackParams(), np.zeros(2))
+
+
+_OBJECTIVES_BY_DIM = {
+    1: ("flatbasin1d", "rastrigin1d", "ackley1d", "quadratic"),
+    2: ("ackley", "dropwave", "rastrigin", "rosenbrock2d"),
+    20: ("ackley", "rastrigin", "quadratic"),
+}
+
+# (gamma, h_floor as a fraction of h0).  Each kind keeps a stalled agent's
+# ladder short enough for the rung-by-rung oracle: the usual floors; a zero
+# floor, where the ladder runs through subnormal steps down to 0 (only for
+# gamma <= 1/2: above that the smallest subnormal step rounds back to itself);
+# gamma close to 1.
+_LADDERS = st.one_of(
+    st.tuples(st.floats(0.05, 0.95), st.sampled_from([1e-14, 1e-3])),
+    st.tuples(st.floats(0.05, 0.5), st.just(0.0)),
+    st.tuples(st.floats(0.99, 0.999), st.just(0.1)),
+)
+
+
+@st.composite
+def _ladder_cases(draw):
+    d = draw(st.sampled_from(sorted(_OBJECTIVES_BY_DIM)))
+    obj = make_objective(draw(st.sampled_from(_OBJECTIVES_BY_DIM[d])), d)
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-3.0, 3.0, (n, d))
+    G = obj.gradient_many(X)
+    F = obj.evaluate_many(X)
+    # Zero gradients accept at rung 0; a base far below every trial value
+    # stalls the agent after the whole ladder; a NaN base stalls it too.
+    G[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+    F[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))] -= 1e6
+    F[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = np.nan
+    gamma, floor = draw(_LADDERS)
+    h0 = draw(st.floats(0.01, 4.0))
+    params = BacktrackParams(gamma=gamma, h0=h0, h_floor=floor * h0)
+    if draw(st.booleans()):
+        c = draw(st.floats(0.01, 0.99))
+    else:
+        c = rng.uniform(0.01, 0.99, n)
+    return obj, X, G, c, params, F
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(deadline=None)
+@given(_ladder_cases())
+def test_batch_matches_rung_by_rung_ladder_bitwise(case):
+    h, f_new, n_evals = backtrack_batch(*case)
+    h_ref, f_ref, n_ref = reference_backtrack_batch(*case)
+    assert np.array_equal(_bits(h), _bits(h_ref))
+    assert np.array_equal(_bits(f_new), _bits(f_ref))
+    assert n_evals == n_ref
+
+
+_PARITY_ARGV = [["bench", "--preset", name, "--m", "2", "--jobs", "1"] for name in preset_names()] + [
+    ["sweep", "--objective", objective, "--method", method, "--from=-3", "--to=3", "--steps", "25"]
+    for objective, method in (("ackley1d", "sbgd"), ("rastrigin1d", "gdbt"), ("flatbasin1d", "sbgd"))
+]
+
+
+@pytest.mark.parametrize("argv", _PARITY_ARGV, ids=" ".join)
+def test_cli_output_matches_rung_by_rung_ladder(argv, capsys, monkeypatch):
+    assert cli_main(argv) == 0
+    blocked = capsys.readouterr().out
+    monkeypatch.setattr(swarm, "backtrack_batch", reference_backtrack_batch)
+    monkeypatch.setattr(baselines, "backtrack_batch", reference_backtrack_batch)
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == blocked

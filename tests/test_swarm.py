@@ -9,6 +9,7 @@ from swarmdescent.swarm import (
     SBGDParams,
     StopReason,
     Swarm,
+    _merge_agents,
     relative_heights,
     run_sbgd,
     sbgd_iteration,
@@ -265,3 +266,65 @@ class TestValidation:
     def test_q_single_source_of_truth(self):
         params = SBGDParams(backtrack=BacktrackParams(q=2.0))
         assert params.q == 2.0
+
+
+def _reference_merge(positions, masses, heights, tol):
+    """The greedy leader-order merge with no pre-check: every agent leads or joins a cluster."""
+    n = masses.size
+    if n <= 1:
+        return positions, masses, heights, 0
+    cluster = np.full(n, -1, dtype=int)
+    n_clusters = 0
+    for i in range(n):
+        if cluster[i] >= 0:
+            continue
+        cluster[i] = n_clusters
+        free = cluster < 0
+        if free.any():
+            dist = np.linalg.norm(positions[free] - positions[i], axis=1)
+            cluster[np.nonzero(free)[0][dist < tol]] = n_clusters
+        n_clusters += 1
+    if n_clusters == n:
+        return positions, masses, heights, 0
+    keep_idx = np.empty(n_clusters, dtype=int)
+    merged_mass = np.empty(n_clusters)
+    for k in range(n_clusters):
+        idx = np.nonzero(cluster == k)[0]
+        keep_idx[k] = idx[np.argmin(heights[idx])]
+        merged_mass[k] = masses[idx].sum()
+    order = np.argsort(keep_idx)
+    return positions[keep_idx[order]], merged_mass[order], heights[keep_idx[order]], n - n_clusters
+
+
+def _merge_inputs(kind, seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 120)), int(rng.choice([1, 2, 20]))
+    if kind == "clustered":
+        centers = rng.uniform(-3.0, 3.0, (3, d))
+        pos = centers[rng.integers(0, 3, n)] + rng.normal(0.0, 1e-3, (n, d))
+    elif kind == "boundary":
+        # Neighbours tolmerge = 1e-3 apart, up to rounding: right at the threshold.
+        pos = np.zeros((n, d))
+        pos[:, 0] = 1e-3 * np.arange(n)
+    else:
+        pos = rng.uniform(-3.0, 3.0, (n, d))
+    if kind in ("nan", "inf"):
+        bad = rng.random((n, d)) < 0.3
+        pos[bad] = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf], bad.sum())
+        pos[: n // 2] = pos[0]
+    masses = rng.uniform(0.1, 1.0, n)
+    heights = rng.normal(0.0, 1.0, n)
+    return pos, masses, heights
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3, 0.5, np.inf])
+@pytest.mark.parametrize("kind", ["clustered", "random", "boundary", "nan", "inf"])
+def test_merge_matches_greedy_loop(kind, tol):
+    for seed in range(20):
+        pos, masses, heights = _merge_inputs(kind, seed)
+        with np.errstate(invalid="ignore"):  # inf - inf between infinite positions
+            got = _merge_agents(pos, masses, heights, tol)
+            want = _reference_merge(pos, masses, heights, tol)
+        assert got[3] == want[3]
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b, equal_nan=True)
