@@ -7,7 +7,7 @@ The package bundles the swarm optimizer, non-communicating baselines
 gradients, and a seeded experiment harness with a CLI front end.
 """
 
-from .baselines import BaselineMethod, BaselineParams, run_baseline
+from .baselines import BaselineMethod, BaselineParams, run_baseline, run_baseline_batch
 from .harness import (
     CorrectionResult,
     ExperimentConfig,
@@ -23,7 +23,6 @@ from .harness import (
 from .linesearch import BacktrackParams, backtrack, backtrack_batch
 from .objectives import Objective, ObjectiveKind, OBJECTIVE_NAMES, make_objective
 from .swarm import (
-    Agent,
     IterationStats,
     RunResult,
     SBGDParams,
@@ -31,6 +30,7 @@ from .swarm import (
     Swarm,
     relative_heights,
     run_sbgd,
+    run_sbgd_batch,
     sbgd_iteration,
     transfer_mass,
 )
@@ -38,7 +38,6 @@ from .swarm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent",
     "BacktrackParams",
     "BaselineMethod",
     "BaselineParams",
@@ -63,8 +62,10 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "run_baseline",
+    "run_baseline_batch",
     "run_experiment",
     "run_sbgd",
+    "run_sbgd_batch",
     "sbgd_iteration",
     "solution_histogram",
     "transfer_mass",

@@ -6,6 +6,12 @@ streams are independent, reproducible, and order-insensitive under
 parallelism.  Sampling draws one uniform per coordinate per agent, agent
 index moving slowest, so the stream layout is fixed.
 
+The runs of a batch advance in lockstep, as one array of agents (see
+:mod:`~swarmdescent.swarm`); each run's result does not depend on
+which runs share its batch.  With ``jobs`` > 1 the batch is split into
+``jobs`` contiguous blocks of runs, one process-pool task per block, so the
+report is the same for any ``jobs``.
+
 A run succeeds when its solution lies in the closed box
 ``[x* - half_width, x* + half_width]^d``.  Error metrics follow the
 conventions of the benchmark tables: ``mean_sq_error`` carries a ``1/d``
@@ -23,10 +29,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .baselines import BaselineMethod, BaselineParams, run_baseline
+from .baselines import BaselineMethod, BaselineParams, run_baseline_batch
 from .linesearch import BacktrackParams, backtrack
 from .objectives import Objective
-from .swarm import RunResult, SBGDParams, run_sbgd
+from .swarm import RunResult, SBGDParams, run_sbgd_batch
 
 __all__ = [
     "CorrectionResult",
@@ -131,30 +137,42 @@ def sample_initial_positions(cfg: ExperimentConfig, run_index: int) -> np.ndarra
     return rng.uniform(lo, hi, size=(cfg.n_agents, cfg.objective.dimension))
 
 
+def _run_batch(obj: Objective, method: SBGDParams | BaselineParams, starts) -> list[RunResult]:
+    if isinstance(method, SBGDParams):
+        return run_sbgd_batch(obj, starts, method)
+    return run_baseline_batch(obj, starts, method)
+
+
+def _run_block(cfg: ExperimentConfig, first: int, stop: int) -> list[RunResult]:
+    """Execute runs ``first`` to ``stop - 1`` of the batch together."""
+    starts = np.stack([sample_initial_positions(cfg, k) for k in range(first, stop)])
+    return _run_batch(cfg.objective, cfg.method, starts)
+
+
 def run_single(cfg: ExperimentConfig, run_index: int) -> RunResult:
     """Execute run ``run_index`` of the batch."""
-    x0 = sample_initial_positions(cfg, run_index)
-    if isinstance(cfg.method, SBGDParams):
-        return run_sbgd(cfg.objective, x0, cfg.method)
-    return run_baseline(cfg.objective, x0, cfg.method)
+    return _run_block(cfg, run_index, run_index + 1)[0]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentReport:
     """Run the whole batch and aggregate.
 
-    ``jobs`` > 1 (or ``None`` for all available cores) fans runs out to a
-    process pool; results are always ordered by run index, so the report is
-    identical either way.
+    ``jobs`` > 1 (or ``None`` for all available cores) splits the runs into
+    that many contiguous blocks and runs each block in a process pool;
+    results are always ordered by run index, so the report is identical
+    either way.
     """
     m = cfg.n_runs
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
-    if jobs == 1 or m == 1:
-        results = [run_single(cfg, k) for k in range(m)]
+    jobs = min(jobs, m)
+    if jobs == 1:
+        results = _run_block(cfg, 0, m)
     else:
-        chunk = max(1, m // (jobs * 4))
+        edges = [m * j // jobs for j in range(jobs + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_single, repeat(cfg), range(m), chunksize=chunk))
+            blocks = pool.map(_run_block, repeat(cfg), edges[:-1], edges[1:])
+            results = [r for block in blocks for r in block]
     solutions = np.stack([r.x_sol for r in results])
     diffs = solutions - cfg.objective.minimizer
     successes = np.all(np.abs(diffs) <= cfg.success_half_width, axis=1)
@@ -241,21 +259,17 @@ def solution_histogram(
 def basin_sweep(
     obj: Objective, method: SBGDParams | BaselineParams, starts
 ) -> list[tuple[float, float]]:
-    """Map 1-D starting points to the terminal point of a single-agent run."""
+    """Map 1-D starting points to the terminal point of a single-agent run.
+
+    The runs from all starting points advance together, as one batch.
+    """
     if obj.dimension != 1:
         raise ValueError(f"basin sweeps are 1-D only; objective has dimension {obj.dimension}")
     grid = np.atleast_1d(np.asarray(starts, dtype=float)).ravel()
     if grid.size < 1:
         raise ValueError("starts must be non-empty")
-    out = []
-    for x0 in grid:
-        x0_arr = np.array([[x0]])
-        if isinstance(method, SBGDParams):
-            result = run_sbgd(obj, x0_arr, method)
-        else:
-            result = run_baseline(obj, x0_arr, method)
-        out.append((float(x0), float(result.x_sol[0])))
-    return out
+    results = _run_batch(obj, method, grid.reshape(-1, 1, 1))
+    return [(float(x0), float(r.x_sol[0])) for x0, r in zip(grid, results)]
 
 
 def _objective_to_dict(obj: Objective) -> dict:

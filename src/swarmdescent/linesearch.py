@@ -7,8 +7,10 @@ first ``h`` satisfying the sufficient-decrease condition
 
 where ``g`` is the gradient at ``x`` and ``c`` is the effective descent
 coefficient (the base ``lam``, optionally scaled down by a relative-mass
-weight).  If the ladder reaches ``h_floor`` without an acceptable step the
-search reports a stall: step 0 and the unchanged objective value.
+weight).  If the ladder reaches ``h_floor`` without an acceptable step, or
+a rung no longer shrinks (``gamma * h`` rounds back to ``h`` among the
+subnormal numbers, which a zero floor lets the ladder reach), the search
+reports a stall: step 0 and the unchanged objective value.
 
 The ladder restarts from ``h0`` on every call.  Every agent still searching
 therefore sits on the same rung, so :func:`backtrack_batch` evaluates the
@@ -86,6 +88,8 @@ def backtrack_batch(
     c,
     params: BacktrackParams,
     f_current: np.ndarray,
+    *,
+    counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Run the ladder for a batch of agents at once.
 
@@ -99,6 +103,8 @@ def backtrack_batch(
         Effective descent coefficient per agent.
     f_current : ndarray, shape (n,)
         Objective values at ``positions``, already known to the caller.
+    counts : ndarray, shape (n,), optional
+        Integer output array; receives each agent's share of ``n_evals``.
 
     Returns
     -------
@@ -108,7 +114,7 @@ def backtrack_batch(
         Objective at the accepted trial point, or ``f_current`` where stalled.
     n_evals : int
         Trial evaluations of the rung-by-rung search: each agent's rungs up
-        to and including the accepted one, the whole ladder for a stalled
+        to and including the accepted one, every rung tried for a stalled
         agent.  Rungs a block evaluates beyond that are not counted.
     """
     X = np.asarray(positions, dtype=float)
@@ -126,6 +132,8 @@ def backtrack_batch(
     f_out = f_base.copy()
     idx = np.arange(n)
     n_evals = 0
+    if counts is not None:
+        counts[:] = 0
     h_next = float(params.h0)
     block = 1
     while idx.size and h_next > params.h_floor:
@@ -134,7 +142,8 @@ def backtrack_batch(
         rungs = []
         while len(rungs) < size and h_next > params.h_floor:
             rungs.append(h_next)
-            h_next *= params.gamma
+            shrunk = h_next * params.gamma
+            h_next = shrunk if shrunk < h_next else 0.0
         h_block = np.array(rungs)
         k = h_block.size
         trial = X[idx] - h_block[:, None, None] * G[idx]
@@ -142,7 +151,10 @@ def backtrack_batch(
         accept = f_trial <= f_base[idx] - coeff[idx] * h_block[:, None] * g_sq[idx]
         hit = accept.any(axis=0)
         first = accept.argmax(axis=0)
-        n_evals += int(np.where(hit, first + 1, k).sum())
+        tried = np.where(hit, first + 1, k)
+        n_evals += int(tried.sum())
+        if counts is not None:
+            counts[idx] += tried
         acc = idx[hit]
         h_out[acc] = h_block[first[hit]]
         f_out[acc] = f_trial[first[hit], hit]

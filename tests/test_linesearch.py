@@ -1,11 +1,17 @@
 """Tests for the backtracking step-size ladder."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmdescent import baselines, swarm
+from per_run_oracle import oracle_batch
+
+from swarmdescent import baselines, harness, swarm
 from swarmdescent.cli import main as cli_main
 from swarmdescent.cli import preset_names
 from swarmdescent.linesearch import BacktrackParams, backtrack, backtrack_batch
@@ -14,7 +20,7 @@ from swarmdescent.objectives import make_objective
 QUAD1 = make_objective("quadratic", 1)
 
 
-def reference_backtrack_batch(obj, positions, grads, c, params, f_current):
+def reference_backtrack_batch(obj, positions, grads, c, params, f_current, *, counts=None):
     """The rung-by-rung ladder: one objective call per rung for the agents still searching."""
     X = np.asarray(positions, dtype=float)
     G = np.asarray(grads, dtype=float)
@@ -27,6 +33,7 @@ def reference_backtrack_batch(obj, positions, grads, c, params, f_current):
     f_out = f_base.copy()
     active = np.ones(n, dtype=bool)
     n_evals = 0
+    tried = np.zeros(n, dtype=int)
     while True:
         idx = np.nonzero(active)[0]
         if idx.size == 0:
@@ -34,15 +41,19 @@ def reference_backtrack_batch(obj, positions, grads, c, params, f_current):
         trial = X[idx] - h_try[idx][:, None] * G[idx]
         f_trial = obj.evaluate_many(trial)
         n_evals += idx.size
+        tried[idx] += 1
         accept = f_trial <= f_base[idx] - coeff[idx] * h_try[idx] * g_sq[idx]
         acc = idx[accept]
         h_out[acc] = h_try[acc]
         f_out[acc] = f_trial[accept]
         active[acc] = False
         rej = idx[~accept]
+        h_prev = h_try[rej]
         h_try[rej] *= params.gamma
-        stalled = rej[h_try[rej] <= params.h_floor]
+        stalled = rej[(h_try[rej] <= params.h_floor) | (h_try[rej] == h_prev)]
         active[stalled] = False
+    if counts is not None:
+        counts[:] = tried
     return h_out, f_out, n_evals
 
 
@@ -207,12 +218,13 @@ _OBJECTIVES_BY_DIM = {
 
 # (gamma, h_floor as a fraction of h0).  Each kind keeps a stalled agent's
 # ladder short enough for the rung-by-rung oracle: the usual floors; a zero
-# floor, where the ladder runs through subnormal steps down to 0 (only for
-# gamma <= 1/2: above that the smallest subnormal step rounds back to itself);
-# gamma close to 1.
+# floor, where the ladder runs through subnormal steps down to 0 (gamma <=
+# 1/2) or down to a step that gamma no longer shrinks (gamma > 1/2); gamma
+# close to 1.
 _LADDERS = st.one_of(
     st.tuples(st.floats(0.05, 0.95), st.sampled_from([1e-14, 1e-3])),
     st.tuples(st.floats(0.05, 0.5), st.just(0.0)),
+    st.tuples(st.floats(0.5, 0.9), st.just(0.0)),
     st.tuples(st.floats(0.99, 0.999), st.just(0.1)),
 )
 
@@ -255,17 +267,59 @@ def test_batch_matches_rung_by_rung_ladder_bitwise(case):
     assert n_evals == n_ref
 
 
+_STALL_WITH_ZERO_FLOOR = """
+import numpy as np
+from swarmdescent.linesearch import BacktrackParams, backtrack_batch
+from swarmdescent.objectives import make_objective
+
+obj = make_objective("quadratic", 1)
+X = np.linspace(-2.0, 2.0, 200)[:, None]
+params = BacktrackParams(gamma={gamma}, h_floor=0.0)
+counts = np.zeros(200, dtype=int)
+# Every trial value lies above a base this low, so every agent stalls.
+h, f_new, n_evals = backtrack_batch(obj, X, X, 0.2, params, np.full(200, -1.0), counts=counts)
+assert np.all(h == 0.0) and np.all(f_new == -1.0)
+assert n_evals == counts.sum() and np.all(counts == counts[0])
+print(counts[0])
+"""
+
+
+@pytest.mark.parametrize("gamma", [0.6, 0.9])
+def test_stalled_ladder_ends_with_a_zero_floor(gamma):
+    # Among the subnormals, gamma * h rounds back to h for every gamma > 1/2;
+    # the ladder must end there instead of retrying that rung forever.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _STALL_WITH_ZERO_FLOOR.format(gamma=gamma)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rungs = [1.0]
+    while rungs[-1] * gamma < rungs[-1]:
+        rungs.append(rungs[-1] * gamma)
+    assert int(proc.stdout) == len(rungs)
+
+
 _PARITY_ARGV = [["bench", "--preset", name, "--m", "2", "--jobs", "1"] for name in preset_names()] + [
     ["sweep", "--objective", objective, "--method", method, "--from=-3", "--to=3", "--steps", "25"]
     for objective, method in (("ackley1d", "sbgd"), ("rastrigin1d", "gdbt"), ("flatbasin1d", "sbgd"))
 ]
 
+# Each CLI command against an oracle: the rung-by-rung ladder in place of the
+# rung blocks, or the per-run loops in place of the lockstep run loop.
+_PARITY_CASES = [pytest.param(argv, "ladder", id=" ".join(argv)) for argv in _PARITY_ARGV] + [
+    pytest.param(argv, "per-run", id="per-run " + " ".join(argv))
+    for argv in [["bench", "--preset", name, "--m", "3", "--jobs", "1"] for name in preset_names()]
+    + _PARITY_ARGV[-3:]
+]
 
-@pytest.mark.parametrize("argv", _PARITY_ARGV, ids=" ".join)
-def test_cli_output_matches_rung_by_rung_ladder(argv, capsys, monkeypatch):
+
+@pytest.mark.parametrize("argv, oracle", _PARITY_CASES)
+def test_cli_output_matches_rung_by_rung_ladder(argv, oracle, capsys, monkeypatch):
     assert cli_main(argv) == 0
     blocked = capsys.readouterr().out
-    monkeypatch.setattr(swarm, "backtrack_batch", reference_backtrack_batch)
-    monkeypatch.setattr(baselines, "backtrack_batch", reference_backtrack_batch)
+    if oracle == "ladder":
+        monkeypatch.setattr(swarm, "backtrack_batch", reference_backtrack_batch)
+        monkeypatch.setattr(baselines, "backtrack_batch", reference_backtrack_batch)
+    else:
+        monkeypatch.setattr(harness, "_run_batch", oracle_batch)
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == blocked

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from per_run_oracle import reference_merge
 
 from swarmdescent.linesearch import BacktrackParams
 from swarmdescent.objectives import make_objective
@@ -10,6 +11,7 @@ from swarmdescent.swarm import (
     StopReason,
     Swarm,
     _merge_agents,
+    _run_argmin,
     relative_heights,
     run_sbgd,
     sbgd_iteration,
@@ -174,6 +176,20 @@ class TestRunSBGD:
         assert result.iterations == 2
         assert result.x_sol[0] == 0.0
 
+    def test_history_residuals_are_floats_as_from_an_unlabelled_swarm(self):
+        obj = make_objective("ackley", 2)
+        x0 = np.random.default_rng(4).uniform(-3.0, 3.0, (6, 2))
+        history = run_sbgd(obj, x0, SBGDParams(), keep_history=True).history
+        assert history and all(type(s.residual) is float for s in history)
+        _, residual, stats = sbgd_iteration(Swarm.from_positions(x0), obj, SBGDParams())
+        assert type(residual) is float and type(stats.residual) is float
+        assert stats.residual == history[0].residual
+        # A labelled swarm reports one residual per run.
+        labelled = Swarm(np.concatenate([x0, x0]), np.full(12, 1 / 6), initial_count=6,
+                         runs=np.repeat([0, 3], 6))
+        _, residual, _ = sbgd_iteration(labelled, obj, SBGDParams())
+        assert residual.shape == (2,) and np.all(residual == history[0].residual)
+
     def test_stop_max_iters(self):
         result = run_sbgd(QUAD1, [[1.0]], SBGDParams(max_iters=1))
         assert result.stop_reason is StopReason.MAX_ITERS
@@ -268,34 +284,6 @@ class TestValidation:
         assert params.q == 2.0
 
 
-def _reference_merge(positions, masses, heights, tol):
-    """The greedy leader-order merge with no pre-check: every agent leads or joins a cluster."""
-    n = masses.size
-    if n <= 1:
-        return positions, masses, heights, 0
-    cluster = np.full(n, -1, dtype=int)
-    n_clusters = 0
-    for i in range(n):
-        if cluster[i] >= 0:
-            continue
-        cluster[i] = n_clusters
-        free = cluster < 0
-        if free.any():
-            dist = np.linalg.norm(positions[free] - positions[i], axis=1)
-            cluster[np.nonzero(free)[0][dist < tol]] = n_clusters
-        n_clusters += 1
-    if n_clusters == n:
-        return positions, masses, heights, 0
-    keep_idx = np.empty(n_clusters, dtype=int)
-    merged_mass = np.empty(n_clusters)
-    for k in range(n_clusters):
-        idx = np.nonzero(cluster == k)[0]
-        keep_idx[k] = idx[np.argmin(heights[idx])]
-        merged_mass[k] = masses[idx].sum()
-    order = np.argsort(keep_idx)
-    return positions[keep_idx[order]], merged_mass[order], heights[keep_idx[order]], n - n_clusters
-
-
 def _merge_inputs(kind, seed):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(1, 120)), int(rng.choice([1, 2, 20]))
@@ -306,6 +294,11 @@ def _merge_inputs(kind, seed):
         # Neighbours tolmerge = 1e-3 apart, up to rounding: right at the threshold.
         pos = np.zeros((n, d))
         pos[:, 0] = 1e-3 * np.arange(n)
+    elif kind == "underflow":
+        # Distinct first coordinates, gaps whose squares underflow: every
+        # norm reads 0 though the first coordinates differ by more than tol.
+        pos = 1e-170 * rng.integers(0, 3, (n, d))
+        pos[:, 0] = 1e-170 * rng.permutation(n)
     else:
         pos = rng.uniform(-3.0, 3.0, (n, d))
     if kind in ("nan", "inf"):
@@ -317,14 +310,25 @@ def _merge_inputs(kind, seed):
     return pos, masses, heights
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-3, 0.5, np.inf])
-@pytest.mark.parametrize("kind", ["clustered", "random", "boundary", "nan", "inf"])
+@pytest.mark.parametrize("tol", [0.0, 1e-200, 1e-3, 0.5, np.inf])
+@pytest.mark.parametrize("kind", ["clustered", "random", "boundary", "underflow", "nan", "inf"])
 def test_merge_matches_greedy_loop(kind, tol):
     for seed in range(20):
         pos, masses, heights = _merge_inputs(kind, seed)
         with np.errstate(invalid="ignore"):  # inf - inf between infinite positions
             got = _merge_agents(pos, masses, heights, tol)
-            want = _reference_merge(pos, masses, heights, tol)
+            want = reference_merge(pos, masses, heights, tol)
         assert got[3] == want[3]
         for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_run_argmin_picks_what_np_argmin_picks_in_each_run():
+    # Ties go to the first index, and a NaN, when a run has one, beats every number.
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        counts = rng.integers(1, 6, rng.integers(1, 6))
+        values = rng.choice([0.0, 1.0, -1.0, np.nan, np.inf, -np.inf], counts.sum())
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        want = [a + np.argmin(values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(_run_argmin(values, bounds), want)
