@@ -24,7 +24,7 @@ import numpy as np
 
 from .linesearch import BacktrackParams, backtrack_batch
 from .objectives import Objective
-from .swarm import RunResult, StopReason, _lockstep, _row_norms
+from .swarm import RunResult, StopReason, _as_starts, _lockstep, _row_norms
 
 __all__ = ["BaselineMethod", "BaselineParams", "run_baseline", "run_baseline_batch"]
 
@@ -76,15 +76,13 @@ class _Sweeps:
     stay in the arrays, inactive, and cost no further evaluations.
     """
 
-    def __init__(self, obj: Objective, params: BaselineParams, starts: np.ndarray):
-        if starts.ndim != 3 or starts.shape[1] < 1 or starts.shape[2] != obj.dimension:
-            raise ValueError(f"init_positions must be (n, {obj.dimension}) per run, "
-                             f"got shape {starts.shape[1:]}")
+    def __init__(self, obj: Objective, params: BaselineParams, init_positions):
+        starts = _as_starts(obj, init_positions)
         n_runs, n, d = starts.shape
         self.obj = obj
         self.params = params
         self.n_runs = n_runs
-        self.X = starts.reshape(n_runs * n, d).copy()
+        self.X = starts.reshape(n_runs * n, d)
         self.runs = np.repeat(np.arange(n_runs), n)
         self.active = np.ones(n_runs * n, dtype=bool)
         self.f: np.ndarray | None = None
@@ -153,7 +151,7 @@ def _run(obj: Objective, starts, params: BaselineParams, history: list | None) -
     # floods an agent with inf/nan.  Such an agent retires (its residual
     # comparison is false) and simply never counts as a success.
     with np.errstate(over="ignore", invalid="ignore"):
-        engine = _Sweeps(obj, params, np.array(starts, dtype=float))
+        engine = _Sweeps(obj, params, starts)
         return _lockstep(engine, engine.n_runs, params.max_iters, history)
 
 
@@ -177,7 +175,5 @@ def run_baseline(
     ``history``, when requested, holds a position-array snapshot after each
     sweep.  ``iterations`` counts sweeps, i.e. the longest agent's count.
     """
-    X = np.array(init_positions, dtype=float, ndmin=2)
-    if X.ndim != 2 or X.shape[1] != obj.dimension:
-        raise ValueError(f"init_positions must be (n, {obj.dimension}), got shape {X.shape}")
-    return _run(obj, X[None], params, [] if keep_history else None)[0]
+    starts = np.array(init_positions, dtype=float, ndmin=2)[None]
+    return _run(obj, starts, params, [] if keep_history else None)[0]

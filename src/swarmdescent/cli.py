@@ -20,75 +20,51 @@ from importlib import resources
 
 import numpy as np
 
-from .baselines import BaselineMethod, BaselineParams
 from .harness import (
-    ExperimentConfig,
+    METHOD_NAMES,
     basin_sweep,
-    config_to_dict,
+    config_from_dict,
+    method_from_dict,
+    objective_from_dict,
     report_to_dict,
     run_experiment,
-    run_single,
-    run_result_to_dict,
     solution_histogram,
     write_histogram_csv,
     write_report_csv,
 )
-from .linesearch import BacktrackParams
-from .objectives import OBJECTIVE_NAMES, make_objective
-from .swarm import SBGDParams
+from .objectives import OBJECTIVE_NAMES
 
 __all__ = ["main"]
 
 SEED_ENV_VAR = "SWARM_DESCENT_SEED"
 
-_METHOD_NAMES = ("sbgd", "gd", "gdbt", "adam")
-
-# The one declarative schema shared by presets, config files, and flags.
-_SCHEMA: dict[str, type] = {
-    "objective": str,
-    "d": int,
-    "b": float,
-    "c": float,
-    "mu": float,
-    "method": str,
-    "n": int,
-    "m": int,
-    "seed": int,
-    "init_box": list,
-    "h": float,
-    "p": float,
-    "q": float,
-    "lambda": float,
-    "gamma": float,
-    "h0": float,
-    "tolm": float,
-    "tolmerge": float,
-    "tolres": float,
-    "max_iters": int,
+# The one declarative schema shared by presets, config files, and flags:
+# each key's type and its flag's help text.
+_SCHEMA: dict[str, tuple[type, str]] = {
+    "objective": (str, f"one of: {', '.join(OBJECTIVE_NAMES)}"),
+    "d": (int, "ambient dimension (fixed-dimension objectives infer it)"),
+    "b": (float, "minimizer shift applied along the all-ones direction"),
+    "c": (float, "additive offset of the minimum value"),
+    "mu": (float, "curvature of the quadratic objective"),
+    "method": (str, "optimizer to run"),
+    "n": (int, "number of agents"),
+    "m": (int, "number of independent runs"),
+    "seed": (int, f"base seed (overrides ${SEED_ENV_VAR})"),
+    "init_box": (list, "uniform initialization box, e.g. --init-box=-3,-1"),
+    "h": (float, "step size for gd/adam"),
+    "p": (float, "mass-transition exponent"),
+    "q": (float, "relative-mass exponent in the step rule"),
+    "lambda": (float, "descent parameter"),
+    "gamma": (float, "backtracking shrinkage factor"),
+    "h0": (float, "initial backtracking step"),
+    "tolm": (float, "mass elimination threshold"),
+    "tolmerge": (float, "agent merge distance"),
+    "tolres": (float, "residual stopping threshold"),
+    "max_iters": (int, "iteration cap"),
 }
 
-_DEFAULTS: dict = {
-    "objective": None,
-    "d": None,
-    "b": 0.0,
-    "c": 0.0,
-    "mu": 1.0,
-    "method": "sbgd",
-    "n": 1,
-    "m": 1,
-    "seed": 0,
-    "init_box": [-3.0, 3.0],
-    "h": 0.1,
-    "p": 1.0,
-    "q": 1.0,
-    "lambda": 0.2,
-    "gamma": 0.9,
-    "h0": 1.0,
-    "tolm": 1e-4,
-    "tolmerge": 1e-3,
-    "tolres": 1e-4,
-    "max_iters": 10000,
-}
+# The keys no parameter class owns; the classes' own defaults fill the rest.
+_DEFAULTS: dict = {"method": "sbgd", "n": 1, "m": 1, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -103,7 +79,7 @@ def _validate_document(doc: dict, source: str) -> dict:
         if key not in _SCHEMA:
             known = ", ".join(sorted(_SCHEMA))
             raise ConfigError(f"{source}: unknown key {key!r}; known keys: {known}")
-        expected = _SCHEMA[key]
+        expected, _ = _SCHEMA[key]
         if expected is float and isinstance(value, (int, float)) and not isinstance(value, bool):
             value = float(value)
         elif expected is int and isinstance(value, int) and not isinstance(value, bool):
@@ -167,77 +143,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in _SCHEMA and value is not None
     }
     doc.update(_validate_document(flags, "command line"))
-    if doc["objective"] is None:
+    if "objective" not in doc:
         raise ConfigError("an objective is required (--objective or a preset/config file)")
     return doc
-
-
-def _build_objective(doc: dict):
-    return make_objective(
-        doc["objective"], dimension=doc["d"], shift_b=doc["b"], shift_c=doc["c"], mu=doc["mu"]
-    )
-
-
-def _build_method(doc: dict) -> SBGDParams | BaselineParams:
-    name = doc["method"].strip().lower()
-    if name not in _METHOD_NAMES:
-        raise ConfigError(f"unknown method {name!r}; expected one of: {', '.join(_METHOD_NAMES)}")
-    if name == "sbgd":
-        return SBGDParams(
-            p=doc["p"],
-            backtrack=BacktrackParams(
-                lam=doc["lambda"], gamma=doc["gamma"], h0=doc["h0"], q=doc["q"]
-            ),
-            tolm=doc["tolm"],
-            tolmerge=doc["tolmerge"],
-            tolres=doc["tolres"],
-            max_iters=doc["max_iters"],
-        )
-    if name == "gdbt":
-        return BaselineParams(
-            method=BaselineMethod.GD_BACKTRACK,
-            backtrack=BacktrackParams(lam=doc["lambda"], gamma=doc["gamma"], h0=doc["h0"]),
-            tolres=doc["tolres"],
-            max_iters=doc["max_iters"],
-        )
-    method = BaselineMethod.GD_FIXED if name == "gd" else BaselineMethod.ADAM
-    return BaselineParams(
-        method=method, h=doc["h"], tolres=doc["tolres"], max_iters=doc["max_iters"]
-    )
-
-
-def _build_experiment(doc: dict) -> ExperimentConfig:
-    box = doc["init_box"]
-    if len(box) != 2:
-        raise ConfigError(f"init_box must be [lo, hi], got {box!r}")
-    try:
-        return ExperimentConfig(
-            objective=_build_objective(doc),
-            method=_build_method(doc),
-            n_agents=doc["n"],
-            n_runs=doc["m"],
-            seed=doc["seed"],
-            init_lo=box[0],
-            init_hi=box[1],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     doc = _merge_config(args)
     doc["m"] = 1
-    cfg = _build_experiment(doc)
-    result = run_single(cfg, 0)
-    payload = {"config": config_to_dict(cfg), "result": run_result_to_dict(result, cfg)}
-    print(json.dumps(payload, indent=2))
+    report = report_to_dict(run_experiment(config_from_dict(doc), jobs=1))
+    print(json.dumps({"config": report["config"], "result": report["per_run"][0]}, indent=2))
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     doc = _merge_config(args)
-    cfg = _build_experiment(doc)
-    report = run_experiment(cfg, jobs=args.jobs)
+    report = run_experiment(config_from_dict(doc), jobs=args.jobs)
     if args.csv is not None:
         write_report_csv(report, args.csv)
     if args.hist is not None:
@@ -253,44 +174,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     doc = _merge_config(args)
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
-    doc["n"] = 1
-    obj = _build_objective(doc)
-    method = _build_method(doc)
     grid = np.linspace(args.start, args.stop, args.steps)
-    try:
-        pairs = basin_sweep(obj, method, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    for x0, x_final in pairs:
+    for x0, x_final in basin_sweep(objective_from_dict(doc), method_from_dict(doc), grid):
         print(f"{x0!r},{x_final!r}")
     return 0
+
+
+# Flags whose parsing differs from their key's type.
+_FLAG_OPTIONS = {
+    "method": {"choices": METHOD_NAMES},
+    "init_box": {"type": _parse_init_box, "metavar": "LO,HI"},
+}
+
+
+def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
+    kind, text = _SCHEMA[key]
+    options = {"type": kind, **_FLAG_OPTIONS.get(key, {})}
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **options)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="name of a shipped preset to start from")
     parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--objective", help=f"one of: {', '.join(OBJECTIVE_NAMES)}")
-    parser.add_argument("--d", type=int, help="ambient dimension (fixed-dimension objectives infer it)")
-    parser.add_argument("--b", type=float, help="minimizer shift applied along the all-ones direction")
-    parser.add_argument("--c", type=float, help="additive offset of the minimum value")
-    parser.add_argument("--mu", type=float, help="curvature of the quadratic objective")
-    parser.add_argument("--method", choices=_METHOD_NAMES, help="optimizer to run")
-    parser.add_argument("--n", type=int, help="number of agents")
-    parser.add_argument("--seed", type=int, help=f"base seed (overrides ${SEED_ENV_VAR})")
-    parser.add_argument(
-        "--init-box", dest="init_box", type=_parse_init_box, metavar="LO,HI",
-        help="uniform initialization box, e.g. --init-box=-3,-1",
-    )
-    parser.add_argument("--h", type=float, help="step size for gd/adam")
-    parser.add_argument("--p", type=float, help="mass-transition exponent")
-    parser.add_argument("--q", type=float, help="relative-mass exponent in the step rule")
-    parser.add_argument("--lambda", dest="lambda", type=float, help="descent parameter")
-    parser.add_argument("--gamma", type=float, help="backtracking shrinkage factor")
-    parser.add_argument("--h0", type=float, help="initial backtracking step")
-    parser.add_argument("--tolm", type=float, help="mass elimination threshold")
-    parser.add_argument("--tolmerge", type=float, help="agent merge distance")
-    parser.add_argument("--tolres", type=float, help="residual stopping threshold")
-    parser.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
+    for key in _SCHEMA:
+        if key != "m":  # the batch size: a flag of bench alone
+            _add_flag(parser, key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a seeded batch and print the JSON report")
     _add_config_flags(p_bench)
-    p_bench.add_argument("--m", type=int, help="number of independent runs")
+    _add_flag(p_bench, "m")
     p_bench.add_argument("--jobs", type=int, default=None,
                          help="parallel worker processes (default: all cores)")
     p_bench.add_argument("--csv", help="also write one CSV row per run to this path")
@@ -334,10 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

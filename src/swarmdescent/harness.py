@@ -24,14 +24,14 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
 from .baselines import BaselineMethod, BaselineParams, run_baseline_batch
 from .linesearch import BacktrackParams, backtrack
-from .objectives import Objective
+from .objectives import Objective, ObjectiveKind, make_objective
 from .swarm import RunResult, SBGDParams, run_sbgd_batch
 
 __all__ = [
@@ -48,6 +48,22 @@ __all__ = [
     "write_histogram_csv",
     "write_report_csv",
 ]
+
+# The config keys of each method, in the order the report echoes them.  A key
+# names a field of the method's parameter class or of its BacktrackParams;
+# "lambda" is BacktrackParams.lam.
+_METHOD_KEYS = {
+    "sbgd": ("p", "q", "lambda", "gamma", "h0", "h_floor", "tolm", "tolmerge", "tolres",
+             "eps_eta", "max_iters"),
+    "gd": ("h", "tolres", "max_iters"),
+    "gdbt": ("lambda", "gamma", "h0", "h_floor", "tolres", "max_iters"),
+    "adam": ("h", "adam_beta1", "adam_beta2", "adam_eps", "tolres", "max_iters"),
+}
+METHOD_NAMES = tuple(_METHOD_KEYS)
+_BACKTRACK_FIELDS = frozenset(f.name for f in fields(BacktrackParams))
+
+# The config keys of an objective's shifts and curvature, by Objective field.
+_OBJECTIVE_KEYS = {"b": "shift_b", "c": "shift_c", "mu": "mu"}
 
 
 @dataclass(frozen=True)
@@ -98,7 +114,10 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
-    """Aggregates over a batch of runs; every field is recomputable from ``per_run``."""
+    """Aggregates over a batch of runs; every field is recomputable from ``per_run``.
+
+    ``successes`` holds :func:`is_success` of each run, in run order.
+    """
 
     config: ExperimentConfig
     success_rate: float
@@ -107,6 +126,7 @@ class ExperimentReport:
     avg_loss: float
     mean_solution: np.ndarray
     per_run: list[RunResult]
+    successes: list[bool]
 
 
 @dataclass
@@ -149,22 +169,19 @@ def _run_block(cfg: ExperimentConfig, first: int, stop: int) -> list[RunResult]:
     return _run_batch(cfg.objective, cfg.method, starts)
 
 
-def run_single(cfg: ExperimentConfig, run_index: int) -> RunResult:
-    """Execute run ``run_index`` of the batch."""
-    return _run_block(cfg, run_index, run_index + 1)[0]
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentReport:
     """Run the whole batch and aggregate.
 
     ``jobs`` > 1 (or ``None`` for all available cores) splits the runs into
     that many contiguous blocks and runs each block in a process pool;
     results are always ordered by run index, so the report is identical
-    either way.
+    either way.  ``jobs`` < 1 raises :class:`ValueError`.
     """
     m = cfg.n_runs
-    if jobs is None or jobs < 1:
+    if jobs is None:
         jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, m)
     if jobs == 1:
         results = _run_block(cfg, 0, m)
@@ -173,18 +190,20 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentRep
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             blocks = pool.map(_run_block, repeat(cfg), edges[:-1], edges[1:])
             results = [r for block in blocks for r in block]
+    x_star = cfg.objective.minimizer
+    successes = [is_success(r.x_sol, x_star, cfg.success_half_width) for r in results]
     solutions = np.stack([r.x_sol for r in results])
-    diffs = solutions - cfg.objective.minimizer
-    successes = np.all(np.abs(diffs) <= cfg.success_half_width, axis=1)
+    diffs = solutions - x_star
     d = cfg.objective.dimension
     return ExperimentReport(
         config=cfg,
-        success_rate=float(np.count_nonzero(successes) / m),
+        success_rate=sum(successes) / m,
         mean_sq_error=float(np.mean(np.sum(diffs * diffs, axis=1)) / d),
         mean_abs_error=float(np.mean(np.sqrt(np.sum(diffs * diffs, axis=1)))),
         avg_loss=float(np.mean([r.f_sol for r in results])),
         mean_solution=solutions.mean(axis=0),
         per_run=results,
+        successes=successes,
     )
 
 
@@ -272,49 +291,73 @@ def basin_sweep(
     return [(float(x0), float(r.x_sol[0])) for x0, r in zip(grid, results)]
 
 
+def objective_from_dict(doc: dict) -> Objective:
+    """The objective a flat config document names; unset keys take the defaults."""
+    shifts = {field: doc[key] for key, field in _OBJECTIVE_KEYS.items() if key in doc}
+    return make_objective(doc["objective"], dimension=doc.get("d"), **shifts)
+
+
 def _objective_to_dict(obj: Objective) -> dict:
-    out = {
-        "name": obj.kind.value,
-        "d": obj.dimension,
-        "b": obj.shift_b,
-        "c": obj.shift_c,
-    }
-    if obj.kind.value == "quadratic":
-        out["mu"] = obj.mu
+    out = {"name": obj.kind.value, "d": obj.dimension}
+    for key, field in _OBJECTIVE_KEYS.items():
+        if key != "mu" or obj.kind is ObjectiveKind.QUADRATIC:
+            out[key] = getattr(obj, field)
     return out
+
+
+def _field(key: str) -> tuple[bool, str]:
+    """Whether a method key names a BacktrackParams field, and the field's name."""
+    name = "lam" if key == "lambda" else key
+    return name in _BACKTRACK_FIELDS, name
+
+
+def method_from_dict(doc: dict) -> SBGDParams | BaselineParams:
+    """The method parameters of a flat config document.
+
+    Only the keys of the named method are read; the parameter classes'
+    defaults fill the keys the document leaves unset.
+    """
+    name = doc["method"].strip().lower()
+    if name not in _METHOD_KEYS:
+        raise ValueError(f"unknown method {name!r}; expected one of: {', '.join(METHOD_NAMES)}")
+    own, backtrack = {}, {}
+    for key in _METHOD_KEYS[name]:
+        if key in doc:
+            in_backtrack, field = _field(key)
+            (backtrack if in_backtrack else own)[field] = doc[key]
+    if name == "sbgd":
+        return SBGDParams(backtrack=BacktrackParams(**backtrack), **own)
+    return BaselineParams(method=BaselineMethod(name), backtrack=BacktrackParams(**backtrack), **own)
 
 
 def _method_to_dict(method: SBGDParams | BaselineParams) -> dict:
-    if isinstance(method, SBGDParams):
-        bt = method.backtrack
-        return {
-            "name": "sbgd",
-            "p": method.p,
-            "q": method.q,
-            "lambda": bt.lam,
-            "gamma": bt.gamma,
-            "h0": bt.h0,
-            "h_floor": bt.h_floor,
-            "tolm": method.tolm,
-            "tolmerge": method.tolmerge,
-            "tolres": method.tolres,
-            "eps_eta": method.eps_eta,
-            "max_iters": method.max_iters,
-        }
-    out: dict = {"name": method.method.value}
-    if method.method is BaselineMethod.GD_BACKTRACK:
-        bt = method.backtrack
-        out.update({"lambda": bt.lam, "gamma": bt.gamma, "h0": bt.h0, "h_floor": bt.h_floor})
-    else:
-        out["h"] = method.h
-    if method.method is BaselineMethod.ADAM:
-        out.update({
-            "adam_beta1": method.adam_beta1,
-            "adam_beta2": method.adam_beta2,
-            "adam_eps": method.adam_eps,
-        })
-    out.update({"tolres": method.tolres, "max_iters": method.max_iters})
+    name = "sbgd" if isinstance(method, SBGDParams) else method.method.value
+    out = {"name": name}
+    for key in _METHOD_KEYS[name]:
+        in_backtrack, field = _field(key)
+        out[key] = getattr(method.backtrack if in_backtrack else method, field)
     return out
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    """The experiment a flat config document describes.
+
+    ``n``, ``m`` and ``seed`` are required; the other keys the document
+    leaves unset take the defaults of the classes they configure.
+    """
+    box = {}
+    if "init_box" in doc:
+        if len(doc["init_box"]) != 2:
+            raise ValueError(f"init_box must be [lo, hi], got {doc['init_box']!r}")
+        box = {"init_lo": doc["init_box"][0], "init_hi": doc["init_box"][1]}
+    return ExperimentConfig(
+        objective=objective_from_dict(doc),
+        method=method_from_dict(doc),
+        n_agents=doc["n"],
+        n_runs=doc["m"],
+        seed=doc["seed"],
+        **box,
+    )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -329,30 +372,30 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def run_result_to_dict(result: RunResult, cfg: ExperimentConfig | None = None) -> dict:
-    out = {
+def run_result_to_dict(result: RunResult, success: bool) -> dict:
+    return {
         "x_sol": [float(v) for v in result.x_sol],
         "f_sol": result.f_sol,
         "iterations": result.iterations,
         "objective_evals": result.objective_evals,
         "gradient_evals": result.gradient_evals,
         "stop_reason": result.stop_reason.value,
+        "success": success,
     }
-    if cfg is not None:
-        out["success"] = is_success(result.x_sol, cfg.objective.minimizer, cfg.success_half_width)
-    return out
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    cfg = report.config
     return {
-        "config": config_to_dict(cfg),
+        "config": config_to_dict(report.config),
         "success_rate": report.success_rate,
         "mean_sq_error": report.mean_sq_error,
         "mean_abs_error": report.mean_abs_error,
         "avg_loss": report.avg_loss,
         "mean_solution": [float(v) for v in report.mean_solution],
-        "per_run": [run_result_to_dict(r, cfg) for r in report.per_run],
+        "per_run": [
+            run_result_to_dict(r, success)
+            for r, success in zip(report.per_run, report.successes, strict=True)
+        ],
     }
 
 
@@ -364,7 +407,6 @@ def report_to_json(report: ExperimentReport) -> str:
 def write_report_csv(report: ExperimentReport, path) -> None:
     """One row per run: index, seed spawn key, success, metrics, solution coords."""
     cfg = report.config
-    x_star = cfg.objective.minimizer
     d = cfg.objective.dimension
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -372,9 +414,9 @@ def write_report_csv(report: ExperimentReport, path) -> None:
             ["run", "seed", "success", "f_sol", "iterations", "objective_evals",
              "gradient_evals", "stop_reason"] + [f"x{i}" for i in range(d)]
         )
-        for k, r in enumerate(report.per_run):
+        for k, (r, success) in enumerate(zip(report.per_run, report.successes, strict=True)):
             writer.writerow(
-                [k, f"{cfg.seed}.{k}", int(is_success(r.x_sol, x_star, cfg.success_half_width)),
+                [k, f"{cfg.seed}.{k}", int(success),
                  repr(r.f_sol), r.iterations, r.objective_evals, r.gradient_evals,
                  r.stop_reason.value] + [repr(float(v)) for v in r.x_sol]
             )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,27 +52,19 @@ class ObjectiveKind(Enum):
 
 OBJECTIVE_NAMES = tuple(kind.value for kind in ObjectiveKind)
 
-_FIXED_DIMENSION = {
-    ObjectiveKind.FLAT_BASIN_1D: 1,
-    ObjectiveKind.ACKLEY_1D: 1,
-    ObjectiveKind.RASTRIGIN_1D: 1,
-    ObjectiveKind.ROSENBROCK_2D: 2,
-}
-
-
-def _flat_basin_values(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _flat_basin_values(z: np.ndarray) -> np.ndarray:
     """exp(sin(2x^2)) + (x - pi/2)^2 / 10 -- oscillatory wells on a shallow parabola."""
     x = z[:, 0]
     return np.exp(np.sin(2.0 * x * x)) + 0.1 * (x - np.pi / 2) ** 2
 
 
-def _flat_basin_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _flat_basin_grads(z: np.ndarray) -> np.ndarray:
     x = z[:, 0]
     g = np.exp(np.sin(2.0 * x * x)) * np.cos(2.0 * x * x) * 4.0 * x + 0.2 * (x - np.pi / 2)
     return g[:, None]
 
 
-def _ackley_values(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _ackley_values(z: np.ndarray) -> np.ndarray:
     """-20 exp(-0.2|z|/sqrt(d)) - exp(mean cos(2 pi z_i)) + 20 + e."""
     d = z.shape[1]
     r = np.sqrt(np.sum(z * z, axis=1))
@@ -79,7 +72,7 @@ def _ackley_values(z: np.ndarray, obj: "Objective") -> np.ndarray:
     return -20.0 * np.exp(-0.2 / np.sqrt(d) * r) - np.exp(cos_avg) + 20.0 + np.e
 
 
-def _ackley_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _ackley_grads(z: np.ndarray) -> np.ndarray:
     d = z.shape[1]
     r = np.sqrt(np.sum(z * z, axis=1))
     safe_r = np.where(r > 0.0, r, 1.0)
@@ -92,24 +85,24 @@ def _ackley_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
     return grads
 
 
-def _rastrigin_values(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _rastrigin_values(z: np.ndarray) -> np.ndarray:
     """mean(z_i^2 - 10 cos(2 pi z_i) + 10) over the coordinates."""
     return np.mean(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=1)
 
 
-def _rastrigin_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _rastrigin_grads(z: np.ndarray) -> np.ndarray:
     d = z.shape[1]
     return (2.0 * z + 20.0 * np.pi * np.sin(2.0 * np.pi * z)) / d
 
 
-def _drop_wave_values(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _drop_wave_values(z: np.ndarray) -> np.ndarray:
     """-(1 + cos(12|z|)) / (|z|^2/2 + 2), global minimum -1 at the origin."""
     r2 = np.sum(z * z, axis=1)
     r = np.sqrt(r2)
     return -(1.0 + np.cos(12.0 * r)) / (0.5 * r2 + 2.0)
 
 
-def _drop_wave_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _drop_wave_grads(z: np.ndarray) -> np.ndarray:
     r2 = np.sum(z * z, axis=1)
     r = np.sqrt(r2)
     safe_r = np.where(r > 0.0, r, 1.0)
@@ -121,14 +114,14 @@ def _drop_wave_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
     return grads
 
 
-def _rosenbrock_values(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _rosenbrock_values(z: np.ndarray) -> np.ndarray:
     """(1 - z_1)^2 + 100 (z_2 - z_1^2)^2, the banana valley with minimum at (1, 1)."""
     x1 = z[:, 0]
     t = z[:, 1] - x1 * x1
     return (1.0 - x1) ** 2 + 100.0 * t * t
 
 
-def _rosenbrock_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _rosenbrock_grads(z: np.ndarray) -> np.ndarray:
     x1 = z[:, 0]
     t = z[:, 1] - x1 * x1
     g = np.empty_like(z)
@@ -137,35 +130,35 @@ def _rosenbrock_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
     return g
 
 
-def _quadratic_values(z: np.ndarray, obj: "Objective") -> np.ndarray:
+def _quadratic_values(z: np.ndarray, mu: float) -> np.ndarray:
     """mu |z|^2 / 2 -- strongly convex with known curvature, for rate checks."""
-    return 0.5 * obj.mu * np.sum(z * z, axis=1)
+    return 0.5 * mu * np.sum(z * z, axis=1)
 
 
-def _quadratic_grads(z: np.ndarray, obj: "Objective") -> np.ndarray:
-    return obj.mu * z
+def _quadratic_grads(z: np.ndarray, mu: float) -> np.ndarray:
+    return mu * z
 
 
-_VALUE_FNS = {
-    ObjectiveKind.FLAT_BASIN_1D: _flat_basin_values,
-    ObjectiveKind.ACKLEY_1D: _ackley_values,
-    ObjectiveKind.RASTRIGIN_1D: _rastrigin_values,
-    ObjectiveKind.ACKLEY: _ackley_values,
-    ObjectiveKind.RASTRIGIN: _rastrigin_values,
-    ObjectiveKind.DROP_WAVE: _drop_wave_values,
-    ObjectiveKind.ROSENBROCK_2D: _rosenbrock_values,
-    ObjectiveKind.QUADRATIC: _quadratic_values,
-}
+class _Landscape(NamedTuple):
+    """One base landscape: its functions of ``z = x - b`` and its ground truth."""
 
-_GRAD_FNS = {
-    ObjectiveKind.FLAT_BASIN_1D: _flat_basin_grads,
-    ObjectiveKind.ACKLEY_1D: _ackley_grads,
-    ObjectiveKind.RASTRIGIN_1D: _rastrigin_grads,
-    ObjectiveKind.ACKLEY: _ackley_grads,
-    ObjectiveKind.RASTRIGIN: _rastrigin_grads,
-    ObjectiveKind.DROP_WAVE: _drop_wave_grads,
-    ObjectiveKind.ROSENBROCK_2D: _rosenbrock_grads,
-    ObjectiveKind.QUADRATIC: _quadratic_grads,
+    values: Callable[..., np.ndarray]
+    grads: Callable[..., np.ndarray]
+    dimension: int | None  # the one dimension it is defined in, or None for any
+    x_star: float  # every coordinate of the unshifted minimizer
+    f_star: float  # the unshifted minimum value
+
+
+_LANDSCAPES = {
+    ObjectiveKind.FLAT_BASIN_1D: _Landscape(
+        _flat_basin_values, _flat_basin_grads, 1, FLAT_BASIN_XSTAR, FLAT_BASIN_FMIN),
+    ObjectiveKind.ACKLEY_1D: _Landscape(_ackley_values, _ackley_grads, 1, 0.0, 0.0),
+    ObjectiveKind.RASTRIGIN_1D: _Landscape(_rastrigin_values, _rastrigin_grads, 1, 0.0, 0.0),
+    ObjectiveKind.ACKLEY: _Landscape(_ackley_values, _ackley_grads, None, 0.0, 0.0),
+    ObjectiveKind.RASTRIGIN: _Landscape(_rastrigin_values, _rastrigin_grads, None, 0.0, 0.0),
+    ObjectiveKind.DROP_WAVE: _Landscape(_drop_wave_values, _drop_wave_grads, None, 0.0, -1.0),
+    ObjectiveKind.ROSENBROCK_2D: _Landscape(_rosenbrock_values, _rosenbrock_grads, 2, 1.0, 0.0),
+    ObjectiveKind.QUADRATIC: _Landscape(_quadratic_values, _quadratic_grads, None, 0.0, 0.0),
 }
 
 
@@ -200,7 +193,7 @@ class Objective:
             raise ValueError(f"kind must be an ObjectiveKind, got {self.kind!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        fixed = _FIXED_DIMENSION.get(self.kind)
+        fixed = _LANDSCAPES[self.kind].dimension
         if fixed is not None and self.dimension != fixed:
             raise ValueError(
                 f"{self.kind.value} is defined in dimension {fixed}, got {self.dimension}"
@@ -213,24 +206,17 @@ class Objective:
     @property
     def minimizer(self) -> np.ndarray:
         """Global minimizer as a ``(d,)`` vector."""
-        if self.kind is ObjectiveKind.FLAT_BASIN_1D:
-            base = np.array([FLAT_BASIN_XSTAR])
-        elif self.kind is ObjectiveKind.ROSENBROCK_2D:
-            base = np.ones(2)
-        else:
-            base = np.zeros(self.dimension)
-        return base + self.shift_b
+        return np.full(self.dimension, _LANDSCAPES[self.kind].x_star) + self.shift_b
 
     @property
     def min_value(self) -> float:
         """Value of the objective at :attr:`minimizer`."""
-        if self.kind is ObjectiveKind.FLAT_BASIN_1D:
-            base = FLAT_BASIN_FMIN
-        elif self.kind is ObjectiveKind.DROP_WAVE:
-            base = -1.0
-        else:
-            base = 0.0
-        return base + self.shift_c
+        return _LANDSCAPES[self.kind].f_star + self.shift_c
+
+    @property
+    def _params(self) -> tuple:
+        # The quadratic is the one landscape with a parameter of its own.
+        return (self.mu,) if self.kind is ObjectiveKind.QUADRATIC else ()
 
     def _as_point(self, x) -> np.ndarray:
         vec = np.atleast_1d(np.asarray(x, dtype=float))
@@ -254,13 +240,13 @@ class Objective:
 
     def evaluate_many(self, points) -> np.ndarray:
         """Objective values for an ``(n, d)`` batch of points, as shape ``(n,)``."""
-        pts = self._as_batch(points)
-        return _VALUE_FNS[self.kind](pts - self.shift_b, self) + self.shift_c
+        z = self._as_batch(points) - self.shift_b
+        return _LANDSCAPES[self.kind].values(z, *self._params) + self.shift_c
 
     def gradient_many(self, points) -> np.ndarray:
         """Gradients for an ``(n, d)`` batch of points, as shape ``(n, d)``."""
-        pts = self._as_batch(points)
-        return _GRAD_FNS[self.kind](pts - self.shift_b, self)
+        z = self._as_batch(points) - self.shift_b
+        return _LANDSCAPES[self.kind].grads(z, *self._params)
 
 
 def make_objective(
@@ -281,7 +267,7 @@ def make_objective(
         known = ", ".join(OBJECTIVE_NAMES)
         raise ValueError(f"unknown objective {name!r}; expected one of: {known}") from None
     if dimension is None:
-        dimension = _FIXED_DIMENSION.get(kind)
+        dimension = _LANDSCAPES[kind].dimension
         if dimension is None:
             raise ValueError(f"objective {kind.value!r} needs an explicit dimension")
     return Objective(kind=kind, dimension=int(dimension), shift_b=float(shift_b),

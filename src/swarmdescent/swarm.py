@@ -63,6 +63,15 @@ def _row_norms(diffs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diffs * diffs, axis=1))
 
 
+def _as_starts(obj: Objective, init_positions) -> np.ndarray:
+    """The ``(R, N, d)`` starting positions of a batch of runs, as a new float array."""
+    starts = np.array(init_positions, dtype=float)
+    if starts.ndim != 3 or starts.shape[1] < 1 or starts.shape[2] != obj.dimension:
+        raise ValueError(f"init_positions must be (n, {obj.dimension}) per run, "
+                         f"got shape {starts.shape[1:]}")
+    return starts
+
+
 def _layout(runs: np.ndarray) -> np.ndarray:
     """Run boundaries of a non-decreasing run-label array: run ``k`` is ``bounds[k]:bounds[k+1]``."""
     return np.concatenate(([True], runs[1:] != runs[:-1], [True])).nonzero()[0]
@@ -558,10 +567,8 @@ class _SwarmRuns:
     a step leave the swarm at the start of the next one.
     """
 
-    def __init__(self, obj: Objective, params: SBGDParams, starts: np.ndarray):
-        if starts.ndim != 3 or starts.shape[1] < 1 or starts.shape[2] != obj.dimension:
-            raise ValueError(f"initial positions must be (n, {obj.dimension}) per run, "
-                             f"got shape {starts.shape[1:]}")
+    def __init__(self, obj: Objective, params: SBGDParams, init_positions):
+        starts = _as_starts(obj, init_positions)
         n_runs, n, d = starts.shape
         pos = starts.reshape(n_runs * n, d)
         self.obj = obj
@@ -605,8 +612,8 @@ def run_sbgd_batch(obj: Objective, init_positions, params: SBGDParams = SBGDPara
     Result ``k`` equals ``run_sbgd(obj, init_positions[k], params)`` bit for
     bit, whatever the other runs are.
     """
-    starts = np.array(init_positions, dtype=float)
-    return _lockstep(_SwarmRuns(obj, params, starts), starts.shape[0], params.max_iters)
+    engine = _SwarmRuns(obj, params, init_positions)
+    return _lockstep(engine, engine.n_runs, params.max_iters)
 
 
 def run_sbgd(
@@ -620,8 +627,5 @@ def run_sbgd(
     Stopping: residual below ``tolres``, a lone stalled agent (accepted step
     0), or ``max_iters``.  The best final agent provides ``x_sol``/``f_sol``.
     """
-    pos = np.array(init_positions, dtype=float, ndmin=2)
-    if pos.ndim != 2 or pos.shape[1] != obj.dimension:
-        raise ValueError(f"init_positions must be (n, {obj.dimension}), got shape {pos.shape}")
-    history: list | None = [] if keep_history else None
-    return _lockstep(_SwarmRuns(obj, params, pos[None]), 1, params.max_iters, history)[0]
+    engine = _SwarmRuns(obj, params, np.array(init_positions, dtype=float, ndmin=2)[None])
+    return _lockstep(engine, 1, params.max_iters, [] if keep_history else None)[0]

@@ -126,6 +126,47 @@ class TestConfigMerging:
         assert SEED_ENV_VAR in err
 
 
+# Every config key at a value other than its default, each value distinct.
+_ALL_KEYS = {
+    "objective": "quadratic", "d": 2, "b": 0.5, "c": 0.25, "mu": 2.0, "n": 3, "m": 2,
+    "seed": 4, "init_box": [-2.0, 1.0], "h": 0.05, "p": 1.5, "q": 2.0, "lambda": 0.3,
+    "gamma": 0.8, "h0": 0.5, "tolm": 0.002, "tolmerge": 0.01, "tolres": 0.001, "max_iters": 50,
+}
+_METHOD_KEYS = ("h", "p", "q", "lambda", "gamma", "h0", "tolm", "tolmerge", "tolres", "max_iters")
+# The method keys each method reads; it accepts and ignores the others.
+_READS = {
+    "sbgd": ("p", "q", "lambda", "gamma", "h0", "tolm", "tolmerge", "tolres", "max_iters"),
+    "gdbt": ("lambda", "gamma", "h0", "tolres", "max_iters"),
+    "gd": ("h", "tolres", "max_iters"),
+    "adam": ("h", "tolres", "max_iters"),
+}
+
+
+class TestEveryKey:
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("method", sorted(_READS))
+    def test_every_key_reaches_the_echo(self, capsys, tmp_path, method, source):
+        doc = {**_ALL_KEYS, "method": method}
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = ["bench", "--config", str(cfg), "--jobs", "1"]
+        else:
+            argv = ["bench", "--init-box=-2,1", "--jobs", "1"]
+            for key, value in doc.items():
+                if key != "init_box":
+                    argv += [f"--{key.replace('_', '-')}", str(value)]
+        rc, out, _ = _run(capsys, *argv)
+        assert rc == 0
+        echo = json.loads(out)["config"]
+        assert echo["objective"] == {"name": "quadratic", "d": 2, "b": 0.5, "c": 0.25, "mu": 2.0}
+        assert (echo["n"], echo["m"], echo["seed"]) == (3, 2, 4)
+        assert echo["init_box"] == [[-2.0, -2.0], [1.0, 1.0]]
+        assert echo["method"]["name"] == method
+        echoed = {key: value for key, value in echo["method"].items() if key in _METHOD_KEYS}
+        assert echoed == {key: _ALL_KEYS[key] for key in _READS[method]}
+
+
 class TestPresets:
     def test_all_presets_load_cleanly(self):
         names = preset_names()
@@ -174,6 +215,15 @@ class TestBench:
         rc2, out2, _ = _run(capsys, *argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_config_error(self, capsys, jobs):
+        rc, out, err = _run(
+            capsys, "bench", "--objective", "quadratic", "--d", "1", "--m", "2", "--jobs", jobs,
+        )
+        assert rc == 2
+        assert out == ""
+        assert f"jobs must be at least 1, got {jobs}" in err
 
     def test_csv_and_histogram_outputs(self, capsys, tmp_path):
         csv_path = tmp_path / "runs.csv"

@@ -177,6 +177,7 @@ class TestCorrection:
             avg_loss=0.0,
             mean_solution=obj.minimizer,
             per_run=[],
+            successes=[],
         )
         corr = precondition_and_correct(report, obj=obj)
         assert np.array_equal(corr.x_corrected, obj.minimizer)
@@ -194,6 +195,7 @@ class TestCorrection:
             avg_loss=0.0,
             mean_solution=np.array([0.5]),
             per_run=[],
+            successes=[],
         )
         corr = precondition_and_correct(report, obj=obj, params=BacktrackParams())
         assert corr.converged

@@ -1,16 +1,25 @@
-"""Capture the CLI's output for every shipped preset and the 1-D basin sweeps.
+"""Capture the CLI's output for every shipped preset, the basin sweeps, help and error paths.
 
     python3 tools/capture_outputs.py DIR
 
 For each command below, writes ``DIR/<name>.stdout``, ``.stderr`` and
-``.rc`` (the exit code).  The commands run one at a time in fresh
-interpreters, against the package in this checkout's ``src/``:
+``.rc`` (the exit code), plus ``DIR/<name>.<file>`` for each file the
+command writes.  The commands run one at a time in fresh interpreters,
+against the package in this checkout's ``src/``, each in its own temporary
+directory, whose path reads ``TMP`` in the captured text:
 
-* ``bench --preset P --jobs 1`` and ``--jobs 2`` for every shipped preset,
-  at the preset's own ``m``;
+* ``bench --preset P --jobs 1`` and ``--jobs 2`` and ``run --preset P`` for
+  every shipped preset, at the preset's own ``m``;
 * ``sweep --objective O --method M --from=-3 --to=3 --steps 200`` for the
   1-D objectives ``ackley1d``, ``rastrigin1d`` and ``flatbasin1d`` and the
-  methods ``sbgd`` and ``gdbt``.
+  methods ``sbgd`` and ``gdbt``;
+* ``--help`` of the program and of each subcommand;
+* ``bench --csv --hist`` on a 1-D and a 2-D preset, with the CSV files;
+* for each method, every config key set to a value other than its default,
+  by config file (``bench`` and ``run``) and by flags (``bench``);
+* the usage and configuration errors (exit code 2): unknown, mistyped and
+  missing keys, objectives, presets and methods, malformed init boxes,
+  out-of-range parameters, a 2-D sweep and a malformed seed variable.
 
 Two captures of the same behaviour, for example before and after a change
 that must not alter any result, compare with ``diff -r DIR1 DIR2``.
@@ -18,29 +27,104 @@ that must not alter any result, compare with ``diff -r DIR1 DIR2``.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SWEEP_OBJECTIVES = ("ackley1d", "rastrigin1d", "flatbasin1d")
 SWEEP_METHODS = ("sbgd", "gdbt")
+METHODS = ("sbgd", "gd", "gdbt", "adam")
+SEED_ENV_VAR = "SWARM_DESCENT_SEED"
+TMP = "{tmp}"
+
+# Every config key at a value other than its default, each value distinct.
+ALL_KEYS = {
+    "objective": "quadratic", "d": 2, "b": 0.5, "c": 0.25, "mu": 2.0, "n": 3, "m": 2,
+    "seed": 4, "init_box": [-2.0, 1.0], "h": 0.05, "p": 1.5, "q": 2.0, "lambda": 0.3,
+    "gamma": 0.8, "h0": 0.5, "tolm": 0.002, "tolmerge": 0.01, "tolres": 0.001, "max_iters": 50,
+}
+
+# Config files written into each command's directory, by file name.
+CONFIG_FILES = {
+    **{f"all-keys-{m}.json": json.dumps({**ALL_KEYS, "method": m}) for m in METHODS},
+    "unknown-key.json": json.dumps({"objective": "quadratic", "d": 1, "frobnicate": 1}),
+    "wrong-type.json": json.dumps({"objective": "quadratic", "d": 1, "n": "ten"}),
+    "unknown-method.json": json.dumps({"objective": "quadratic", "d": 1, "method": "newton"}),
+    "init-box-arity.json": json.dumps({"objective": "quadratic", "d": 1, "init_box": [1.0, 2.0, 3.0]}),
+    "not-json.json": "{",
+}
+
+QUAD1 = ["--objective", "quadratic", "--d", "1"]
+ERRORS = {
+    "unknown-key": ["run", "--config", f"{TMP}/unknown-key.json"],
+    "wrong-type": ["run", "--config", f"{TMP}/wrong-type.json"],
+    "wrong-type-flag": ["run", "--objective", "quadratic", "--d", "two"],
+    "config-absent": ["run", "--config", f"{TMP}/absent.json"],
+    "config-not-json": ["run", "--config", f"{TMP}/not-json.json"],
+    "missing-objective": ["run", "--method", "sbgd"],
+    "unknown-objective": ["run", "--objective", "griewank"],
+    "needs-dimension": ["run", "--objective", "ackley"],
+    "fixed-dimension": ["run", "--objective", "ackley1d", "--d", "2"],
+    "unknown-preset": ["bench", "--preset", "flatbasin-nope"],
+    "unknown-method-flag": ["run", *QUAD1, "--method", "newton"],
+    "unknown-method-config": ["run", "--config", f"{TMP}/unknown-method.json"],
+    "init-box-arity": ["run", *QUAD1, "--init-box=1"],
+    "init-box-number": ["run", *QUAD1, "--init-box=a,b"],
+    "init-box-order": ["run", *QUAD1, "--init-box=1,-1"],
+    "init-box-arity-config": ["run", "--config", f"{TMP}/init-box-arity.json"],
+    "gamma": ["run", *QUAD1, "--gamma", "1.5"],
+    "agents": ["run", *QUAD1, "--n", "0"],
+    "sweep-2d": ["sweep", "--objective", "ackley", "--d", "2", "--from=-3", "--to=3", "--steps", "5"],
+    "sweep-steps": ["sweep", *QUAD1, "--from=-3", "--to=3", "--steps", "0"],
+    "seed-env": ["run", *QUAD1],
+}
+ERROR_ENV = {"seed-env": {SEED_ENV_VAR: "many"}}
 
 
-def commands() -> dict[str, list[str]]:
-    """The captured CLI argument lists, by output file stem."""
+def _flags(doc: dict) -> list[str]:
+    out = []
+    for key, value in doc.items():
+        if key == "init_box":
+            out.append(f"--init-box={value[0]},{value[1]}")
+        else:
+            out += [f"--{key.replace('_', '-')}", str(value)]
+    return out
+
+
+def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
+    """The captured CLI argument lists and extra environment, by output file stem."""
     presets = sorted(p.stem for p in (SRC / "swarmdescent" / "presets").glob("*.json"))
     out = {}
     for preset in presets:
         for jobs in (1, 2):
             out[f"bench-{preset}-jobs{jobs}"] = ["bench", "--preset", preset, "--jobs", str(jobs)]
+        out[f"run-{preset}"] = ["run", "--preset", preset]
     for objective in SWEEP_OBJECTIVES:
         for method in SWEEP_METHODS:
             out[f"sweep-{objective}-{method}"] = [
                 "sweep", "--objective", objective, "--method", method,
                 "--from=-3", "--to=3", "--steps", "200",
             ]
+    out["help"] = ["--help"]
+    for command in ("run", "bench", "sweep"):
+        out[f"help-{command}"] = [command, "--help"]
+    files = ["--csv", f"{TMP}/runs.csv", "--hist", f"{TMP}/hist.csv"]
+    out["files-flatbasin"] = ["bench", "--preset", "flatbasin-sbgd21-n30", "--m", "20", *files]
+    out["files-ackley2d"] = ["bench", "--preset", "ackley2d-b10-sbgd11-n100", "--m", "10", *files,
+                             "--hist-coord", "0", "--hist-bin-width", "0.5"]
+    for method in METHODS:
+        config = f"{TMP}/all-keys-{method}.json"
+        out[f"all-keys-{method}-bench-config"] = ["bench", "--config", config, "--jobs", "1"]
+        out[f"all-keys-{method}-run-config"] = ["run", "--config", config]
+        out[f"all-keys-{method}-bench-flags"] = [
+            "bench", *_flags({**ALL_KEYS, "method": method}), "--jobs", "1"]
+    out = {stem: (argv, {}) for stem, argv in out.items()}
+    for name, argv in ERRORS.items():
+        out[f"error-{name}"] = (argv, ERROR_ENV.get(name, {}))
     return out
 
 
@@ -50,14 +134,20 @@ def main(argv: list[str]) -> int:
         return 2
     out_dir = Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("SWARM_DESCENT_SEED", None)
-    for stem, args in commands().items():
-        proc = subprocess.run([sys.executable, "-m", "swarmdescent", *args],
-                              capture_output=True, text=True, env=env)
-        (out_dir / f"{stem}.stdout").write_text(proc.stdout)
-        (out_dir / f"{stem}.stderr").write_text(proc.stderr)
-        (out_dir / f"{stem}.rc").write_text(f"{proc.returncode}\n")
+    base_env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    base_env.pop(SEED_ENV_VAR, None)
+    for stem, (args, extra_env) in commands().items():
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in CONFIG_FILES.items():
+                Path(tmp, name).write_text(text)
+            proc = subprocess.run(
+                [sys.executable, "-m", "swarmdescent", *(a.replace(TMP, tmp) for a in args)],
+                capture_output=True, text=True, env={**base_env, **extra_env}, cwd=tmp,
+            )
+            written = {p.name: p.read_text() for p in Path(tmp).iterdir() if p.name not in CONFIG_FILES}
+        texts = {"stdout": proc.stdout, "stderr": proc.stderr, "rc": f"{proc.returncode}\n", **written}
+        for suffix, text in texts.items():
+            (out_dir / f"{stem}.{suffix}").write_text(text.replace(tmp, "TMP"))
         print(f"{stem}: exit {proc.returncode}", flush=True)
     return 0
 
