@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -201,7 +202,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             _add_flag(parser, key)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    Parsing leaves it unchanged, and it reads the terminal width each time
+    it formats help or usage, so every call can reuse it.
+    """
     parser = argparse.ArgumentParser(
         prog="swarmdescent",
         description="Swarm-based gradient descent: runs, benchmarks, basin sweeps.",
@@ -238,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError included

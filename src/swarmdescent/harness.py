@@ -8,9 +8,11 @@ index moving slowest, so the stream layout is fixed.
 
 The runs of a batch advance in lockstep, as one array of agents (see
 :mod:`~swarmdescent.swarm`); each run's result does not depend on
-which runs share its batch.  With ``jobs`` > 1 the batch is split into
-``jobs`` contiguous blocks of runs, one process-pool task per block, so the
-report is the same for any ``jobs``.
+which runs share its batch.  ``jobs`` bounds the worker processes: the
+batch is split into at most ``jobs`` contiguous blocks of at least
+``_MIN_BLOCK_RUNS`` runs, one process-pool task per block, and a batch too
+small for two such blocks runs in this process.  The report is the same for
+any ``jobs``.
 
 A run succeeds when its solution lies in the closed box
 ``[x* - half_width, x* + half_width]^d``.  Error metrics follow the
@@ -64,6 +66,13 @@ _BACKTRACK_FIELDS = frozenset(f.name for f in fields(BacktrackParams))
 
 # The config keys of an objective's shifts and curvature, by Objective field.
 _OBJECTIVE_KEYS = {"b": "shift_b", "c": "shift_c", "mu": "mu"}
+
+# Fewest runs per pool task.  Starting a pool costs tens of milliseconds, so
+# small batches run faster in this process.  On a 2-vCPU machine (break-even
+# table in CHANGES.md) the 2-D and 20-D preset shapes gain from 16 runs per
+# task on, and the cheapest 1-D shapes only from about 64; at 20, every
+# preset's own batch keeps its pool.
+_MIN_BLOCK_RUNS = 20
 
 
 @dataclass(frozen=True)
@@ -169,25 +178,36 @@ def _run_block(cfg: ExperimentConfig, first: int, stop: int) -> list[RunResult]:
     return _run_batch(cfg.objective, cfg.method, starts)
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentReport:
-    """Run the whole batch and aggregate.
+def _block_count(n_runs: int, jobs: int | None) -> int:
+    """Pool tasks for a batch of ``n_runs`` runs; 1 means no pool.
 
-    ``jobs`` > 1 (or ``None`` for all available cores) splits the runs into
-    that many contiguous blocks and runs each block in a process pool;
-    results are always ordered by run index, so the report is identical
-    either way.  ``jobs`` < 1 raises :class:`ValueError`.
+    At most ``jobs`` (all cores for ``None``), each task of at least
+    ``_MIN_BLOCK_RUNS`` runs.
     """
-    m = cfg.n_runs
     if jobs is None:
         jobs = os.cpu_count() or 1
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, m)
-    if jobs == 1:
+    return max(1, min(jobs, n_runs // _MIN_BLOCK_RUNS))
+
+
+def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentReport:
+    """Run the whole batch and aggregate.
+
+    ``jobs`` is an upper bound on the worker processes, ``None`` meaning all
+    available cores.  The runs are split into at most ``jobs`` contiguous
+    blocks of at least ``_MIN_BLOCK_RUNS`` runs each, run in a process pool
+    that ends with this call; a batch too small for two such blocks runs in
+    this process.  Results are always ordered by run index, so the report is
+    the same for any ``jobs``.  ``jobs`` < 1 raises :class:`ValueError`.
+    """
+    m = cfg.n_runs
+    n_blocks = _block_count(m, jobs)
+    if n_blocks == 1:
         results = _run_block(cfg, 0, m)
     else:
-        edges = [m * j // jobs for j in range(jobs + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        edges = [m * j // n_blocks for j in range(n_blocks + 1)]
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             blocks = pool.map(_run_block, repeat(cfg), edges[:-1], edges[1:])
             results = [r for block in blocks for r in block]
     x_star = cfg.objective.minimizer

@@ -12,9 +12,10 @@ a rung no longer shrinks (``gamma * h`` rounds back to ``h`` among the
 subnormal numbers, which a zero floor lets the ladder reach), the search
 reports a stall: step 0 and the unchanged objective value.
 
-The ladder restarts from ``h0`` on every call.  Every agent still searching
-therefore sits on the same rung, so :func:`backtrack_batch` evaluates the
-ladder in rung blocks: one objective call covers several consecutive rungs
+The ladder restarts from ``h0`` on every call, so its first rungs are made
+once per ``(h0, gamma, h_floor)`` and cached.  Every agent still searching
+sits on the same rung, so :func:`backtrack_batch` evaluates the ladder in
+rung blocks: one objective call covers several consecutive rungs
 for all searching agents, and each agent takes the first rung of the block
 that it accepts.  Steps and heights are those of the rung-by-rung search.
 The reported evaluation count is the paper's count, the sequential ladder's
@@ -26,6 +27,7 @@ not counted there, so more points are evaluated than that count shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +83,29 @@ class BacktrackParams:
             raise ValueError(f"q must be positive, got {self.q}")
 
 
+def _shrink(h: float, gamma: float) -> float:
+    """The rung after ``h``: ``h * gamma``, or 0 once that no longer shrinks."""
+    shrunk = h * gamma
+    return shrunk if shrunk < h else 0.0
+
+
+@lru_cache(maxsize=8)
+def _ladder(h0: float, gamma: float, h_floor: float) -> np.ndarray:
+    """The ladder's first rungs, at most ``_MAX_POINTS`` of them, as a read-only array.
+
+    Every call with the same parameters walks the same rungs, so they are
+    made once, by the repeated shrink a rung-by-rung search applies.
+    """
+    rungs = []
+    h = h0
+    while len(rungs) < _MAX_POINTS and h > h_floor:
+        rungs.append(h)
+        h = _shrink(h, gamma)
+    out = np.array(rungs)
+    out.flags.writeable = False
+    return out
+
+
 def backtrack_batch(
     obj: Objective,
     positions: np.ndarray,
@@ -134,17 +159,22 @@ def backtrack_batch(
     n_evals = 0
     if counts is not None:
         counts[:] = 0
-    h_next = float(params.h0)
+    prefix = _ladder(params.h0, params.gamma, params.h_floor)
+    # The rung after the cached prefix, 0 when the ladder ends within it.
+    h_next = _shrink(float(prefix[-1]), params.gamma) if prefix.size == _MAX_POINTS else 0.0
+    start = 0
     block = 1
-    while idx.size and h_next > params.h_floor:
-        # The next rungs, by the same repeated shrink as a rung-by-rung search.
+    while idx.size and (start < prefix.size or h_next > params.h_floor):
         size = min(max(block, -(-_MIN_POINTS // idx.size)), max(1, _MAX_POINTS // idx.size))
-        rungs = []
-        while len(rungs) < size and h_next > params.h_floor:
-            rungs.append(h_next)
-            shrunk = h_next * params.gamma
-            h_next = shrunk if shrunk < h_next else 0.0
-        h_block = np.array(rungs)
+        h_block = prefix[start:start + size]
+        start += size
+        if h_block.size < size and h_next > params.h_floor:
+            # Past the prefix, the next rungs by the same repeated shrink.
+            rungs = []
+            while h_block.size + len(rungs) < size and h_next > params.h_floor:
+                rungs.append(h_next)
+                h_next = _shrink(h_next, params.gamma)
+            h_block = np.concatenate((h_block, rungs))
         k = h_block.size
         trial = X[idx] - h_block[:, None, None] * G[idx]
         f_trial = obj.evaluate_many(trial.reshape(-1, X.shape[1])).reshape(k, idx.size)

@@ -69,6 +69,8 @@ def _as_starts(obj: Objective, init_positions) -> np.ndarray:
     if starts.ndim != 3 or starts.shape[1] < 1 or starts.shape[2] != obj.dimension:
         raise ValueError(f"init_positions must be (n, {obj.dimension}) per run, "
                          f"got shape {starts.shape[1:]}")
+    if not np.isfinite(starts).all():
+        raise ValueError("init_positions must be finite, got a NaN or infinite coordinate")
     return starts
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from swarmdescent.baselines import BaselineMethod, BaselineParams, run_baseline
+from swarmdescent.baselines import BaselineMethod, BaselineParams, run_baseline, run_baseline_batch
 from swarmdescent.linesearch import BacktrackParams
 from swarmdescent.objectives import make_objective
 from swarmdescent.swarm import SBGDParams, StopReason, run_sbgd
@@ -157,6 +157,16 @@ class TestValidation:
             run_baseline(
                 make_objective("quadratic", 2), [[1.0]], _params(BaselineMethod.GD_FIXED)
             )
+
+    @pytest.mark.parametrize("method", list(BaselineMethod))
+    @pytest.mark.parametrize("starts", [[[np.nan]], [[np.inf], [0.5]], [[0.5], [-np.inf]]])
+    def test_rejects_non_finite_starts(self, method, starts):
+        # A NaN start used to run GD(BT) to a NaN "solution" reported as converged.
+        obj = make_objective("ackley1d")
+        with pytest.raises(ValueError, match="init_positions must be finite"):
+            run_baseline(obj, starts, _params(method))
+        with pytest.raises(ValueError, match="init_positions must be finite"):
+            run_baseline_batch(obj, [[[1.0]] * len(starts), starts], _params(method))
 
     def test_history_off_by_default(self):
         result = run_baseline(QUAD1, [[1.0]], _params(BaselineMethod.GD_FIXED, h=0.5))

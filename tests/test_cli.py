@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from swarmdescent import cli
 from swarmdescent.cli import SEED_ENV_VAR, load_preset, main, preset_names
 
 
@@ -288,3 +292,60 @@ class TestSweep:
         )
         assert rc == 2
         assert "1-D" in err
+
+
+_BENCH = ["bench", "--objective", "rastrigin1d", "--n", "3", "--m", "2", "--jobs", "1"]
+# One call of each kind, the parser's own exits included, and the first again.
+_REUSE_ARGV = [
+    _BENCH,
+    ["sweep", "--objective", "ackley1d", "--method", "gdbt", "--from=-3", "--to=3", "--steps", "5"],
+    ["run", "--objective", "quadratic", "--d", "2", "--n", "3", "--seed", "4"],
+    ["run", "--objective", "quadratic", "--method", "newton"],
+    ["--help"],
+    _BENCH,
+]
+
+
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of one in-process call, as a fresh interpreter reports them."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _fresh(calls):
+    """Exit code, stdout and stderr of each ``(argv, columns)`` call, each in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    procs = [subprocess.Popen([sys.executable, "-m", "swarmdescent", *argv], text=True,
+                              env=dict(env, COLUMNS=str(columns)),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv, columns in calls]
+    out = []
+    for proc in procs:
+        stdout, stderr = proc.communicate(timeout=60)
+        out.append((proc.returncode, stdout, stderr))
+    return out
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_interpreters(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = _fresh([(argv, 80) for argv in _REUSE_ARGV])
+        cli._parser()
+        before = cli._parser.cache_info()
+        assert [_call(capsys, argv) for argv in _REUSE_ARGV] == fresh
+        after = cli._parser.cache_info()
+        assert (after.hits - before.hits, after.misses) == (len(_REUSE_ARGV), before.misses)
+        assert [rc for rc, _, _ in fresh] == [0, 0, 0, 2, 0, 0]
+
+    def test_help_follows_the_terminal_width_of_each_call(self, capsys, monkeypatch):
+        argv = ["bench", "--help"]
+        wide, narrow = _fresh([(argv, 120), (argv, 50)])
+        for width, want in ((120, wide), (50, narrow), (120, wide)):
+            monkeypatch.setenv("COLUMNS", str(width))
+            assert _call(capsys, argv) == want
+        assert max(len(line) for line in wide[1].splitlines()) > 100
+        assert len(narrow[1].splitlines()) > len(wide[1].splitlines())

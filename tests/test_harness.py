@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from swarmdescent import harness
 from swarmdescent.baselines import BaselineMethod, BaselineParams
 from swarmdescent.harness import (
+    _MIN_BLOCK_RUNS,
     ExperimentConfig,
     ExperimentReport,
     basin_sweep,
@@ -111,14 +113,40 @@ class TestRunExperiment:
             assert a.f_sol == b.f_sol
             assert a.iterations == b.iterations
 
-    def test_parallel_runs_match_serial(self):
-        cfg = _quad_config(n_runs=8)
+    def test_parallel_runs_match_serial(self, pool_starts):
+        cfg = _quad_config(n_runs=2 * _MIN_BLOCK_RUNS)
         serial = run_experiment(cfg, jobs=1)
         parallel = run_experiment(cfg, jobs=2)
+        assert pool_starts == [2]
         assert serial.success_rate == parallel.success_rate
         for a, b in zip(serial.per_run, parallel.per_run):
             assert np.array_equal(a.x_sol, b.x_sol)
             assert a.f_sol == b.f_sol
+
+    @pytest.mark.parametrize(
+        "n_runs, jobs, blocks",
+        [
+            (1, 2, 1),
+            (2 * _MIN_BLOCK_RUNS - 1, 2, 1),  # too few runs for two blocks
+            (2 * _MIN_BLOCK_RUNS, 2, 2),
+            (3 * _MIN_BLOCK_RUNS, 1, 1),
+            (3 * _MIN_BLOCK_RUNS + 5, 100, 3),  # jobs above what the runs fill
+            (100 * _MIN_BLOCK_RUNS, 4, 4),
+            (100 * _MIN_BLOCK_RUNS, None, 6),  # all cores
+            (5 * _MIN_BLOCK_RUNS, None, 5),
+        ],
+    )
+    def test_block_count(self, monkeypatch, n_runs, jobs, blocks):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+        assert harness._block_count(n_runs, jobs) == blocks
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_rejected(self, jobs, pool_starts):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            harness._block_count(100 * _MIN_BLOCK_RUNS, jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_experiment(_quad_config(n_runs=1), jobs=jobs)
+        assert pool_starts == []
 
     def test_aggregates_recompute_from_per_run(self):
         cfg = _quad_config(n_runs=10)

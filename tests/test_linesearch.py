@@ -14,7 +14,7 @@ from per_run_oracle import oracle_batch
 from swarmdescent import baselines, harness, swarm
 from swarmdescent.cli import main as cli_main
 from swarmdescent.cli import preset_names
-from swarmdescent.linesearch import BacktrackParams, backtrack, backtrack_batch
+from swarmdescent.linesearch import _MAX_POINTS, BacktrackParams, _ladder, backtrack, backtrack_batch
 from swarmdescent.objectives import make_objective
 
 QUAD1 = make_objective("quadratic", 1)
@@ -228,12 +228,19 @@ _LADDERS = st.one_of(
     st.tuples(st.floats(0.99, 0.999), st.just(0.1)),
 )
 
+# Ladders longer than the cached prefix of _MAX_POINTS rungs: gamma near 1
+# with the usual floor, and a zero floor ending where a rung stops shrinking.
+_LONG_LADDERS = st.one_of(
+    st.tuples(st.floats(0.9965, 0.997), st.just(1e-14)),
+    st.tuples(st.floats(0.925, 0.93), st.just(0.0)),
+)
+
 
 @st.composite
-def _ladder_cases(draw):
+def _ladder_cases(draw, ladders=_LADDERS, max_agents=200):
     d = draw(st.sampled_from(sorted(_OBJECTIVES_BY_DIM)))
     obj = make_objective(draw(st.sampled_from(_OBJECTIVES_BY_DIM[d])), d)
-    n = draw(st.integers(1, 200))
+    n = draw(st.integers(1, max_agents))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.uniform(-3.0, 3.0, (n, d))
     G = obj.gradient_many(X)
@@ -243,7 +250,7 @@ def _ladder_cases(draw):
     G[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
     F[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))] -= 1e6
     F[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = np.nan
-    gamma, floor = draw(_LADDERS)
+    gamma, floor = draw(ladders)
     h0 = draw(st.floats(0.01, 4.0))
     params = BacktrackParams(gamma=gamma, h0=h0, h_floor=floor * h0)
     if draw(st.booleans()):
@@ -257,14 +264,56 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-@settings(deadline=None)
-@given(_ladder_cases())
-def test_batch_matches_rung_by_rung_ladder_bitwise(case):
+def _assert_matches_rung_by_rung(case):
     h, f_new, n_evals = backtrack_batch(*case)
     h_ref, f_ref, n_ref = reference_backtrack_batch(*case)
     assert np.array_equal(_bits(h), _bits(h_ref))
     assert np.array_equal(_bits(f_new), _bits(f_ref))
     assert n_evals == n_ref
+
+
+@settings(deadline=None)
+@given(_ladder_cases())
+def test_batch_matches_rung_by_rung_ladder_bitwise(case):
+    _assert_matches_rung_by_rung(case)
+
+
+@settings(deadline=None, max_examples=3)
+@given(_ladder_cases(_LONG_LADDERS, max_agents=4))
+def test_ladders_past_the_cached_prefix_match_rung_by_rung_bitwise(case):
+    obj, X, G, c, params, F = case
+    assert _ladder(params.h0, params.gamma, params.h_floor).size == _MAX_POINTS
+    # A base below every trial value walks the first agent down the whole ladder.
+    F[0] = -1e6
+    _assert_matches_rung_by_rung((obj, X, G, c, params, F))
+
+
+# Parameter values that several ladders of one example share, so a cache
+# entry keyed on too few of them would be served to the wrong ladder.
+_SHARED_PARAMS = st.builds(
+    BacktrackParams,
+    gamma=st.sampled_from([0.5, 0.6, 0.9]),
+    h0=st.sampled_from([0.5, 1.0, 2.0]),
+    h_floor=st.sampled_from([0.0, 1e-14, 1e-3]),
+)
+
+
+@settings(deadline=None, max_examples=6)
+@given(_ladder_cases(max_agents=8), st.lists(_SHARED_PARAMS, min_size=2, max_size=4))
+def test_interleaved_ladders_match_rung_by_rung_bitwise(case, ladders):
+    obj, X, G, c, _, F = case
+    for params in ladders + ladders[::-1]:
+        _assert_matches_rung_by_rung((obj, X, G, c, params, F))
+
+
+@pytest.mark.parametrize("gamma, floor", [(0.9, 1e-14), (0.6, 0.0), (0.999999, 1e-14)])
+def test_cached_prefix_is_bounded_and_read_only(gamma, floor):
+    assert _ladder.cache_info().maxsize is not None
+    prefix = _ladder(1.0, gamma, floor)
+    assert 0 < prefix.size <= _MAX_POINTS
+    assert not prefix.flags.writeable
+    with pytest.raises(ValueError):
+        prefix[0] = 2.0
 
 
 _STALL_WITH_ZERO_FLOOR = """

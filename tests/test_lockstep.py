@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from per_run_oracle import oracle_baseline, oracle_sbgd
 
 from swarmdescent.baselines import BaselineMethod, BaselineParams, run_baseline, run_baseline_batch
-from swarmdescent.harness import ExperimentConfig, run_experiment, sample_initial_positions
+from swarmdescent.harness import _MIN_BLOCK_RUNS, ExperimentConfig, run_experiment, sample_initial_positions
 from swarmdescent.linesearch import BacktrackParams
 from swarmdescent.objectives import make_objective
 from swarmdescent.swarm import SBGDParams, StopReason, run_sbgd, run_sbgd_batch
@@ -151,17 +151,20 @@ def test_eliminating_and_merging_runs_share_a_batch():
     assert sum(s.merged for s in merged) > 0
 
 
-@pytest.mark.parametrize("jobs, n_runs", [(2, 5), (3, 7)])
+# Enough runs for each of the jobs to get a block of its own, one with an uneven split.
+@pytest.mark.parametrize("jobs, n_runs", [(2, 2 * _MIN_BLOCK_RUNS + 1), (3, 3 * _MIN_BLOCK_RUNS)])
 @pytest.mark.parametrize(
     "method",
     [SBGDParams(), BaselineParams(method=BaselineMethod.GD_BACKTRACK)],
     ids=["sbgd", "gdbt"],
 )
-def test_pool_shards_match_one_block_and_the_per_run_loop(jobs, n_runs, method):
+def test_pool_shards_match_one_block_and_the_per_run_loop(jobs, n_runs, method, pool_starts):
     cfg = ExperimentConfig(objective=make_objective("dropwave", 2), method=method,
                            n_agents=12, n_runs=n_runs, seed=9)
     pooled = run_experiment(cfg, jobs=jobs).per_run
+    assert pool_starts == [jobs]
     whole = run_experiment(cfg, jobs=1).per_run
+    assert pool_starts == [jobs]
     oracle = oracle_sbgd if isinstance(method, SBGDParams) else oracle_baseline
     for k, (got, want) in enumerate(zip(pooled, whole)):
         _assert_same(got, want)

@@ -14,6 +14,7 @@ from swarmdescent.swarm import (
     _run_argmin,
     relative_heights,
     run_sbgd,
+    run_sbgd_batch,
     sbgd_iteration,
     transfer_mass,
 )
@@ -256,6 +257,14 @@ class TestRunSBGD:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             run_sbgd(make_objective("quadratic", 2), [[1.0]], SBGDParams())
+
+    @pytest.mark.parametrize("starts", [[[np.nan]], [[np.inf], [0.5]], [[0.5], [-np.inf]]])
+    def test_rejects_non_finite_starts(self, starts):
+        obj = make_objective("ackley1d")
+        with pytest.raises(ValueError, match="init_positions must be finite"):
+            run_sbgd(obj, starts)
+        with pytest.raises(ValueError, match="init_positions must be finite"):
+            run_sbgd_batch(obj, [[[1.0]] * len(starts), starts])
 
 
 class TestValidation:
