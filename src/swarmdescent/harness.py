@@ -275,8 +275,11 @@ def solution_histogram(
     """Histogram of one solution coordinate with fixed-width bins.
 
     Bins partition the real line as ``[i*w, (i+1)*w)``; only non-empty bins
-    are returned, as ``(bin_center, count)`` sorted by center.  ``coord``
-    may be omitted only for 1-D solutions.
+    are returned, as ``(bin_center, count)`` sorted by center.  A coordinate
+    whose bin index ``floor(x / w)`` is not finite -- a NaN or infinite
+    coordinate from a diverged run, or one too large for ``w`` -- falls in
+    no bin, so the counts may sum to fewer than the runs.  ``coord`` may be
+    omitted only for 1-D solutions.
     """
     if not per_run:
         raise ValueError("per_run must be non-empty")
@@ -290,8 +293,9 @@ def solution_histogram(
     if not 0 <= coord < d:
         raise ValueError(f"coord {coord} out of range for dimension {d}")
     values = np.array([r.x_sol[coord] for r in per_run])
-    bins = np.floor(values / bin_width).astype(np.int64)
-    uniq, counts = np.unique(bins, return_counts=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bins = np.floor(values / bin_width)
+    uniq, counts = np.unique(bins[np.isfinite(bins)], return_counts=True)
     return [(float((i + 0.5) * bin_width), int(c)) for i, c in zip(uniq, counts)]
 
 

@@ -12,6 +12,26 @@ Evaluation is vectorised: :meth:`Objective.evaluate_many` and
 :meth:`Objective.gradient_many` act on ``(n, d)`` batches of points, and the
 single-point methods are thin wrappers around them so that scalar and batch
 callers see bit-identical arithmetic.
+
+The kernels are the program's hottest code: the Armijo ladder evaluates a
+block of trial points per call.  Each computes exactly what its formula
+written as one whole-array numpy expression computes -- the same
+floating-point operations, with the same operands in the same order
+(``tests/kernel_oracle.py`` keeps those expressions as the bitwise
+reference) -- under two rules:
+
+* Row sums follow numpy's order.  Every sum or mean over a point's
+  coordinates is :func:`_row_sum` (a mean divides it by ``d``, as
+  ``np.mean`` does).  It adds narrow rows column by column, which on rows
+  of one or two coordinates costs a fraction of numpy's reduction set-up,
+  and it gets every bit of ``np.sum(a, axis=1)`` because it adds in numpy's
+  own order.
+* ``out=`` writes only into arrays the kernel itself allocated.  A kernel
+  never writes into its argument ``z`` or the caller's points, which may be
+  read-only (the ladder's cached prefix) or still in use.  Writing a
+  result into a temporary instead of a fresh array cannot change it, and
+  every transcendental function still reads a contiguous array of the
+  shape it read before, so numpy picks the same loop for it.
 """
 
 from __future__ import annotations
@@ -52,34 +72,91 @@ class ObjectiveKind(Enum):
 
 OBJECTIVE_NAMES = tuple(kind.value for kind in ObjectiveKind)
 
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=1)`` bit for bit, without the reduction machinery on narrow rows.
+
+    numpy adds a row of fewer than 8 values one by one onto ``+0.0`` (so a
+    row of ``-0.0`` sums to ``+0.0``); from 8 values on it sums pairwise,
+    which only its own reduction reproduces.
+    """
+    if a.shape[1] >= 8:
+        return np.add.reduce(a, axis=1)
+    total = a[:, 0] + 0.0
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
 def _flat_basin_values(z: np.ndarray) -> np.ndarray:
     """exp(sin(2x^2)) + (x - pi/2)^2 / 10 -- oscillatory wells on a shallow parabola."""
     x = z[:, 0]
-    return np.exp(np.sin(2.0 * x * x)) + 0.1 * (x - np.pi / 2) ** 2
+    out = 2.0 * x
+    out *= x
+    np.sin(out, out=out)
+    np.exp(out, out=out)
+    bowl = x - np.pi / 2
+    bowl *= bowl
+    bowl *= 0.1
+    out += bowl
+    return out
 
 
 def _flat_basin_grads(z: np.ndarray) -> np.ndarray:
     x = z[:, 0]
-    g = np.exp(np.sin(2.0 * x * x)) * np.cos(2.0 * x * x) * 4.0 * x + 0.2 * (x - np.pi / 2)
+    phase = 2.0 * x
+    phase *= x
+    g = np.sin(phase)
+    np.exp(g, out=g)
+    np.cos(phase, out=phase)
+    g *= phase
+    g *= 4.0
+    g *= x
+    slope = x - np.pi / 2
+    slope *= 0.2
+    g += slope
     return g[:, None]
 
 
 def _ackley_values(z: np.ndarray) -> np.ndarray:
     """-20 exp(-0.2|z|/sqrt(d)) - exp(mean cos(2 pi z_i)) + 20 + e."""
     d = z.shape[1]
-    r = np.sqrt(np.sum(z * z, axis=1))
-    cos_avg = np.mean(np.cos(2.0 * np.pi * z), axis=1)
-    return -20.0 * np.exp(-0.2 / np.sqrt(d) * r) - np.exp(cos_avg) + 20.0 + np.e
+    w = z * z
+    out = _row_sum(w)
+    np.sqrt(out, out=out)
+    out *= -0.2 / np.sqrt(d)
+    np.exp(out, out=out)
+    out *= -20.0
+    np.multiply(z, 2.0 * np.pi, out=w)
+    np.cos(w, out=w)
+    cos_avg = _row_sum(w)
+    cos_avg /= d
+    np.exp(cos_avg, out=cos_avg)
+    out -= cos_avg
+    out += 20.0
+    out += np.e
+    return out
 
 
 def _ackley_grads(z: np.ndarray) -> np.ndarray:
     d = z.shape[1]
-    r = np.sqrt(np.sum(z * z, axis=1))
-    safe_r = np.where(r > 0.0, r, 1.0)
-    radial = np.where(r > 0.0, 4.0 / np.sqrt(d) * np.exp(-0.2 / np.sqrt(d) * r) / safe_r, 0.0)
-    cos_avg = np.mean(np.cos(2.0 * np.pi * z), axis=1)
-    waves = (2.0 * np.pi / d) * np.exp(cos_avg)[:, None] * np.sin(2.0 * np.pi * z)
-    grads = radial[:, None] * z + waves
+    r = _row_sum(z * z)
+    np.sqrt(r, out=r)
+    cone = r > 0.0
+    radial = r * (-0.2 / np.sqrt(d))
+    np.exp(radial, out=radial)
+    radial *= 4.0 / np.sqrt(d)
+    np.divide(radial, r, out=radial, where=cone)
+    radial[~cone] = 0.0
+    phase = z * (2.0 * np.pi)
+    cos_avg = _row_sum(np.cos(phase))
+    cos_avg /= d
+    np.exp(cos_avg, out=cos_avg)
+    cos_avg *= 2.0 * np.pi / d
+    np.sin(phase, out=phase)
+    np.multiply(cos_avg[:, None], phase, out=phase)
+    grads = radial[:, None] * z
+    grads += phase
     # The radial term has a cone tip at the minimizer; use the zero subgradient there.
     grads[r == 0.0] = 0.0
     return grads
@@ -87,28 +164,58 @@ def _ackley_grads(z: np.ndarray) -> np.ndarray:
 
 def _rastrigin_values(z: np.ndarray) -> np.ndarray:
     """mean(z_i^2 - 10 cos(2 pi z_i) + 10) over the coordinates."""
-    return np.mean(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=1)
+    waves = z * (2.0 * np.pi)
+    np.cos(waves, out=waves)
+    waves *= 10.0
+    terms = z * z
+    terms -= waves
+    terms += 10.0
+    out = _row_sum(terms)
+    out /= z.shape[1]
+    return out
 
 
 def _rastrigin_grads(z: np.ndarray) -> np.ndarray:
-    d = z.shape[1]
-    return (2.0 * z + 20.0 * np.pi * np.sin(2.0 * np.pi * z)) / d
+    waves = z * (2.0 * np.pi)
+    np.sin(waves, out=waves)
+    waves *= 20.0 * np.pi
+    grads = z * 2.0
+    grads += waves
+    grads /= z.shape[1]
+    return grads
 
 
 def _drop_wave_values(z: np.ndarray) -> np.ndarray:
     """-(1 + cos(12|z|)) / (|z|^2/2 + 2), global minimum -1 at the origin."""
-    r2 = np.sum(z * z, axis=1)
-    r = np.sqrt(r2)
-    return -(1.0 + np.cos(12.0 * r)) / (0.5 * r2 + 2.0)
+    r2 = _row_sum(z * z)
+    out = np.sqrt(r2)
+    out *= 12.0
+    np.cos(out, out=out)
+    out += 1.0
+    np.negative(out, out=out)
+    r2 *= 0.5
+    r2 += 2.0
+    out /= r2
+    return out
 
 
 def _drop_wave_grads(z: np.ndarray) -> np.ndarray:
-    r2 = np.sum(z * z, axis=1)
-    r = np.sqrt(r2)
-    safe_r = np.where(r > 0.0, r, 1.0)
-    u = 1.0 + np.cos(12.0 * r)
-    v = 0.5 * r2 + 2.0
-    coef = np.where(r > 0.0, (12.0 * np.sin(12.0 * r) * v / safe_r + u) / (v * v), 0.0)
+    v = _row_sum(z * z)
+    r = np.sqrt(v)
+    cone = r > 0.0
+    coef = r * 12.0
+    u = np.cos(coef)
+    u += 1.0
+    np.sin(coef, out=coef)
+    coef *= 12.0
+    v *= 0.5
+    v += 2.0
+    coef *= v
+    np.divide(coef, r, out=coef, where=cone)
+    coef += u
+    v *= v
+    coef /= v
+    coef[~cone] = 0.0
     grads = coef[:, None] * z
     grads[r == 0.0] = 0.0
     return grads
@@ -117,22 +224,35 @@ def _drop_wave_grads(z: np.ndarray) -> np.ndarray:
 def _rosenbrock_values(z: np.ndarray) -> np.ndarray:
     """(1 - z_1)^2 + 100 (z_2 - z_1^2)^2, the banana valley with minimum at (1, 1)."""
     x1 = z[:, 0]
-    t = z[:, 1] - x1 * x1
-    return (1.0 - x1) ** 2 + 100.0 * t * t
+    t = x1 * x1
+    np.subtract(z[:, 1], t, out=t)
+    out = 1.0 - x1
+    out *= out
+    valley = t * 100.0
+    valley *= t
+    out += valley
+    return out
 
 
 def _rosenbrock_grads(z: np.ndarray) -> np.ndarray:
     x1 = z[:, 0]
-    t = z[:, 1] - x1 * x1
+    t = x1 * x1
+    np.subtract(z[:, 1], t, out=t)
     g = np.empty_like(z)
-    g[:, 0] = -2.0 * (1.0 - x1) - 400.0 * x1 * t
-    g[:, 1] = 200.0 * t
+    first = 1.0 - x1
+    first *= -2.0
+    valley = x1 * 400.0
+    valley *= t
+    np.subtract(first, valley, out=g[:, 0])
+    np.multiply(t, 200.0, out=g[:, 1])
     return g
 
 
 def _quadratic_values(z: np.ndarray, mu: float) -> np.ndarray:
     """mu |z|^2 / 2 -- strongly convex with known curvature, for rate checks."""
-    return 0.5 * mu * np.sum(z * z, axis=1)
+    out = _row_sum(z * z)
+    out *= 0.5 * mu
+    return out
 
 
 def _quadratic_grads(z: np.ndarray, mu: float) -> np.ndarray:
@@ -241,7 +361,9 @@ class Objective:
     def evaluate_many(self, points) -> np.ndarray:
         """Objective values for an ``(n, d)`` batch of points, as shape ``(n,)``."""
         z = self._as_batch(points) - self.shift_b
-        return _LANDSCAPES[self.kind].values(z, *self._params) + self.shift_c
+        values = _LANDSCAPES[self.kind].values(z, *self._params)
+        values += self.shift_c
+        return values
 
     def gradient_many(self, points) -> np.ndarray:
         """Gradients for an ``(n, d)`` batch of points, as shape ``(n, d)``."""

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,23 @@ class TestHistogram:
         assert len(hist) == 2
         assert sum(c for _, c in hist) == 8
         assert hist[0][0] < 0.0 < hist[1][0]
+
+    def test_non_finite_solutions_fall_in_no_bin(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # the stubs' f_sol
+            runs = [_stub_run([x]) for x in (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.5, 0.5)]
+            huge = [_stub_run([1e300])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = solution_histogram(runs, bin_width=0.25)
+        assert [c for _, c in hist] == [1, 2, 1]
+        assert hist[1] == (0.625, 2)
+        assert hist[0][0] == pytest.approx(-1e300) and hist[2][0] == pytest.approx(1e300)
+        # An index past 2**63 must not wrap around into another bin.
+        assert solution_histogram(huge, bin_width=1e-4)[0][0] > 0.0
+        assert solution_histogram(runs[:1]) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solution_histogram(huge, bin_width=1e-10) == []
 
     def test_multidimensional_needs_a_coordinate(self):
         runs = [_stub_run([1.0, 2.0])]

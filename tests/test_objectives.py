@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from kernel_oracle import reference_evaluate_many, reference_gradient_many
 
 from swarmdescent.objectives import (
+    _LANDSCAPES,
     FLAT_BASIN_FMIN,
     FLAT_BASIN_XSTAR,
     OBJECTIVE_NAMES,
     Objective,
     ObjectiveKind,
+    _row_sum,
     make_objective,
 )
 
@@ -178,3 +184,79 @@ def test_evaluate_rejects_wrong_shapes():
         obj.evaluate_many(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         obj.gradient_many(np.zeros(3))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+ORACLE_DIMS = (1, 2, 3, 7, 8, 9, 20)
+# Coordinates from everyday scale to 1e200, whose squares and sums overflow,
+# with signed zeros and non-finite entries.
+_COORDS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e200, 1e200),
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, np.inf, -np.inf, np.nan]),
+)
+
+
+@st.composite
+def _kernel_cases(draw):
+    kind = draw(st.sampled_from(list(ObjectiveKind)))
+    fixed = _LANDSCAPES[kind].dimension
+    d = fixed if fixed is not None else draw(st.sampled_from(ORACLE_DIMS))
+    shift = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-5.0, 5.0))
+    obj = Objective(kind, d, shift_b=draw(shift), shift_c=draw(shift),
+                    mu=draw(st.floats(0.1, 10.0)))
+    n = draw(st.integers(1, 12))
+    points = draw(hnp.arrays(np.float64, (n, d), elements=_COORDS))
+    # Some rows sit exactly at the minimizer, where the cone-tip branches run.
+    at_min = draw(hnp.arrays(np.bool_, n))
+    points[at_min] = obj.minimizer
+    return obj, points
+
+
+@settings(deadline=None, max_examples=400)
+@given(_kernel_cases())
+def test_kernels_match_the_whole_array_oracle_bitwise(case):
+    obj, points = case
+    with np.errstate(all="ignore"):
+        values, want_values = obj.evaluate_many(points), reference_evaluate_many(obj, points)
+        grads, want_grads = obj.gradient_many(points), reference_gradient_many(obj, points)
+    assert values.shape == want_values.shape and grads.shape == want_grads.shape
+    assert np.array_equal(_bits(values), _bits(want_values))
+    assert np.array_equal(_bits(grads), _bits(want_grads))
+
+
+_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 21).flatmap(lambda d: hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.just(d)),
+    elements=st.one_of(st.sampled_from(_SPECIALS), st.floats(), st.floats(-1.0, 1.0)))))
+@example(np.full((3, 1), -0.0))
+@example(np.full((2, 5), -0.0))
+@example(np.full((2, 9), -0.0))
+def test_row_sum_is_numpys_row_sum_bitwise(a):
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(_row_sum(a)), _bits(np.sum(a, axis=1)))
+
+
+def test_row_sum_of_negative_zeros_is_positive_zero():
+    for d in range(1, 22):
+        assert np.array_equal(_bits(_row_sum(np.full((2, d), -0.0))), _bits(np.zeros(2)))
+
+
+@pytest.mark.parametrize("shift_b", [0.0, 1.5])
+@pytest.mark.parametrize("name,dim", CASES)
+def test_kernels_leave_the_points_alone(name, dim, shift_b):
+    obj = _make(name, dim, shift_b=shift_b, shift_c=0.5)
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-3.0, 3.0, (6, obj.dimension))
+    points[0] = obj.minimizer
+    points.flags.writeable = False  # as the cached ladder prefix is; a write would raise
+    before = points.copy()
+    for result in (obj.evaluate_many(points), obj.gradient_many(points)):
+        assert not np.shares_memory(result, points)
+    assert np.array_equal(_bits(points), _bits(before))

@@ -13,8 +13,9 @@ all those ``BENCHMARK.json`` lists.
 
 ``OUT.json`` gets every raw result and, for each workload and end-to-end
 metric, each side's median and quartiles and the number of pairs the change
-won (ties count for neither side).  The exit code is 1 if any run failed,
-was not ``correct`` or had failed operations, else 0.
+won (ties count for neither side).  The same summary is then printed as a
+markdown table.  The exit code is 1 if any run failed, was not ``correct``
+or had failed operations, else 0.
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def summary_table(summary: dict) -> str:
+    """The summary as a markdown table: one row per workload and metric."""
+    def cell(side: dict) -> str:
+        return f"{side['median']:.4g} [{side['q1']:.4g}, {side['q3']:.4g}]"
+
+    lines = ["| workload | metric | parent median [q1, q3] | change median [q1, q3] | change wins |",
+             "| --- | --- | --- | --- | --- |"]
+    for workload, rows in summary.items():
+        for metric, row in rows.items():
+            lines.append(f"| `{workload}` | `{metric}` | {cell(row['parent'])} | "
+                         f"{cell(row['change'])} | {row['change_wins']}/{row['pairs']} |")
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -147,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(summary_table(doc["summary"]))
     bad = [r for r in runs if not run_ok(r["result"])]
     for r in bad:
         print(f"bad run: {r['workload']} seed {r['seed']} {r['side']}", file=sys.stderr)
