@@ -20,20 +20,9 @@ from .harness import (
     run_experiment,
     solution_histogram,
 )
-from .linesearch import BacktrackParams, backtrack, backtrack_batch
+from .linesearch import BacktrackParams, backtrack_batch
 from .objectives import Objective, ObjectiveKind, OBJECTIVE_NAMES, make_objective
-from .swarm import (
-    IterationStats,
-    RunResult,
-    SBGDParams,
-    StopReason,
-    Swarm,
-    relative_heights,
-    run_sbgd,
-    run_sbgd_batch,
-    sbgd_iteration,
-    transfer_mass,
-)
+from .swarm import IterationStats, RunResult, SBGDParams, StopReason, run_sbgd, run_sbgd_batch
 
 __version__ = "0.1.0"
 
@@ -51,14 +40,11 @@ __all__ = [
     "RunResult",
     "SBGDParams",
     "StopReason",
-    "Swarm",
-    "backtrack",
     "backtrack_batch",
     "basin_sweep",
     "is_success",
     "make_objective",
     "precondition_and_correct",
-    "relative_heights",
     "report_to_dict",
     "report_to_json",
     "run_baseline",
@@ -66,8 +52,6 @@ __all__ = [
     "run_experiment",
     "run_sbgd",
     "run_sbgd_batch",
-    "sbgd_iteration",
     "solution_histogram",
-    "transfer_mass",
     "__version__",
 ]

@@ -32,7 +32,7 @@ from itertools import repeat
 import numpy as np
 
 from .baselines import BaselineMethod, BaselineParams, run_baseline_batch
-from .linesearch import BacktrackParams, backtrack
+from .linesearch import BacktrackParams, backtrack_batch
 from .objectives import Objective, ObjectiveKind, make_objective
 from .swarm import RunResult, SBGDParams, run_sbgd_batch
 
@@ -247,24 +247,25 @@ def precondition_and_correct(
         obj = report.config.objective
     if params is None:
         params = getattr(report.config.method, "backtrack", None) or BacktrackParams()
-    x = np.array(report.mean_solution, dtype=float)
-    f = obj.evaluate(x)
+    # One agent, as a one-row batch.
+    x = np.array(report.mean_solution, dtype=float, ndmin=2)
+    f = obj.evaluate_many(x)
     converged = False
     iterations = 0
     while iterations < max_iters:
-        g = obj.gradient(x)
+        g = obj.gradient_many(x)
         if float(np.sqrt(np.sum(g * g))) < grad_tol:
             converged = True
             break
-        h, f_new, _ = backtrack(obj, x, g, params.lam, params, f_x=f)
-        if h == 0.0:
+        h, f_new, _ = backtrack_batch(obj, x, g, params.lam, params, f)
+        if h[0] == 0.0:
             break
         iterations += 1
-        x = x - h * g
+        x = x - h[:, None] * g
         f = f_new
-    err_inf = float(np.max(np.abs(x - obj.minimizer)))
+    err_inf = float(np.max(np.abs(x[0] - obj.minimizer)))
     return CorrectionResult(
-        x_corrected=x, f_corrected=float(f), err_inf=err_inf, converged=converged,
+        x_corrected=x[0], f_corrected=float(f[0]), err_inf=err_inf, converged=converged,
         iterations=iterations,
     )
 

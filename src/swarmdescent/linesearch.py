@@ -33,7 +33,7 @@ import numpy as np
 
 from .objectives import Objective
 
-__all__ = ["BacktrackParams", "backtrack", "backtrack_batch"]
+__all__ = ["BacktrackParams", "backtrack_batch"]
 
 # Points per objective call below which the per-call overhead dominates: a
 # block holds at least this many points even when few agents are searching.
@@ -191,29 +191,3 @@ def backtrack_batch(
         idx = idx[~hit]
         block *= 2
     return h_out, f_out, n_evals
-
-
-def backtrack(
-    obj: Objective,
-    x,
-    g,
-    c: float,
-    params: BacktrackParams,
-    f_x: float | None = None,
-) -> tuple[float, float, int]:
-    """Single-point ladder; the batch routine with one row.
-
-    When ``f_x`` is omitted it is evaluated here and counted in ``n_evals``.
-    Returns ``(h, f_new, n_evals)`` with the same stall convention as
-    :func:`backtrack_batch`.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    extra = 0
-    if f_x is None:
-        f_x = obj.evaluate(x)
-        extra = 1
-    h, f_new, n_evals = backtrack_batch(
-        obj, x[None, :], g[None, :], float(c), params, np.array([float(f_x)])
-    )
-    return float(h[0]), float(f_new[0]), n_evals + extra

@@ -18,7 +18,7 @@ block of trial points per call.  Each computes exactly what its formula
 written as one whole-array numpy expression computes -- the same
 floating-point operations, with the same operands in the same order
 (``tests/kernel_oracle.py`` keeps those expressions as the bitwise
-reference) -- under two rules:
+reference) -- under three rules:
 
 * Row sums follow numpy's order.  Every sum or mean over a point's
   coordinates is :func:`_row_sum` (a mean divides it by ``d``, as
@@ -32,6 +32,12 @@ reference) -- under two rules:
   result into a temporary instead of a fresh array cannot change it, and
   every transcendental function still reads a contiguous array of the
   shape it read before, so numpy picks the same loop for it.
+* NaN signs follow the first operand.  On a one-element array numpy's
+  ``a += b`` returns the NaN of ``b`` where ``a + b`` returns that of
+  ``a``.  So an in-place add of two arrays that may hold one element
+  writes into its second operand (``np.add(a, b, out=b)``), unless both
+  operands can only carry the same NaN (one coordinate feeds both), and
+  :func:`_row_sum` hands a single row to numpy's reduction.
 """
 
 from __future__ import annotations
@@ -78,9 +84,10 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
     numpy adds a row of fewer than 8 values one by one onto ``+0.0`` (so a
     row of ``-0.0`` sums to ``+0.0``); from 8 values on it sums pairwise,
-    which only its own reduction reproduces.
+    which only its own reduction reproduces.  A single row also goes to the
+    reduction, since adding its columns in place would pick the wrong NaN.
     """
-    if a.shape[1] >= 8:
+    if a.shape[1] >= 8 or a.shape[0] == 1:
         return np.add.reduce(a, axis=1)
     total = a[:, 0] + 0.0
     for j in range(1, a.shape[1]):
@@ -230,8 +237,9 @@ def _rosenbrock_values(z: np.ndarray) -> np.ndarray:
     out *= out
     valley = t * 100.0
     valley *= t
-    out += valley
-    return out
+    # Not ``out += valley``, which on one point keeps the NaN of ``valley``.
+    np.add(out, valley, out=valley)
+    return valley
 
 
 def _rosenbrock_grads(z: np.ndarray) -> np.ndarray:

@@ -19,13 +19,14 @@ iteration of the dynamics:
 Total mass is conserved at its initial value (1 for the standard uniform
 start) throughout.
 
-Independent runs advance in lockstep: one :class:`Swarm` holds the agents of
-every run still going, labelled by run, and each iteration steps all of them
-with one gradient call and one ladder call.  A run leaves the arrays as soon
-as it stops.  Every per-run quantity (minimizer, extremes, mass sums,
-merging, residual) is computed over that run's agents alone with the same
-floating-point operations as for a lone run, so each run's result does not
-depend on which runs share its batch.  The baselines step their runs
+Independent runs advance in lockstep: one set of parallel arrays (positions,
+masses, heights and run labels) holds the agents of every run still going,
+a lone run included, and each iteration steps all of them with one gradient
+call and one ladder call.  A run leaves the arrays as soon as it stops.
+Every per-run quantity (minimizer, extremes, mass sums, merging, residual)
+is computed over that run's agents alone with the same floating-point
+operations as for a lone run, so each run's result does not depend on
+which runs share its batch.  The baselines step their runs
 through the same run loop.
 """
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +46,8 @@ __all__ = [
     "RunResult",
     "SBGDParams",
     "StopReason",
-    "Swarm",
-    "relative_heights",
     "run_sbgd",
     "run_sbgd_batch",
-    "sbgd_iteration",
-    "transfer_mass",
 ]
 
 
@@ -107,78 +105,18 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.array([values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
 
 
-@dataclass
-class Swarm:
-    """Active agents as parallel arrays, plus the initial agent count.
+class _Swarm(NamedTuple):
+    """The agents of every live run as parallel arrays.
 
-    ``heights`` caches the objective values at ``positions``; it may be
-    ``None`` for a freshly built swarm and is then filled on the first
-    iteration.  ``initial_count`` stays fixed over the run because the
-    elimination threshold ``tolm / N0`` refers to the *initial* size; it
-    defaults to the number of agents, as ``masses`` defaults to equal masses
-    ``1/n``.  ``runs`` labels the run of every agent for a swarm that holds
-    several independent runs of the same initial size, each run's agents
-    contiguous and labels non-decreasing; ``None`` means one run.
+    ``heights`` caches the objective values at ``positions``; ``runs``
+    labels each agent's run, the agents of a run contiguous and the labels
+    non-decreasing.
     """
 
     positions: np.ndarray
-    masses: np.ndarray | None = None
-    heights: np.ndarray | None = None
-    initial_count: int | None = None
-    runs: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 2:
-            raise ValueError(f"positions must be (n, d), got shape {self.positions.shape}")
-        n = self.positions.shape[0]
-        if n < 1:
-            raise ValueError("a swarm needs at least one agent")
-        self.masses = np.full(n, 1.0 / n) if self.masses is None else np.asarray(self.masses, dtype=float)
-        if self.masses.shape != (n,):
-            raise ValueError(f"masses must have shape ({n},), got {self.masses.shape}")
-        if np.any(self.masses < 0.0):
-            raise ValueError("masses must be non-negative")
-        if self.heights is not None:
-            self.heights = np.asarray(self.heights, dtype=float)
-            if self.heights.shape != (n,):
-                raise ValueError(f"heights must have shape ({n},), got {self.heights.shape}")
-        if self.initial_count is None:
-            self.initial_count = n
-        if self.initial_count < 1:
-            raise ValueError("initial_count must be at least 1")
-        if self.runs is not None:
-            self.runs = np.asarray(self.runs)
-            if self.runs.shape != (n,) or self.runs.dtype.kind not in "iu":
-                raise ValueError(f"runs must be ({n},) integer labels, got {self.runs.shape}")
-            if np.any(self.runs[1:] < self.runs[:-1]):
-                raise ValueError("run labels must be non-decreasing")
-
-    @classmethod
-    def from_positions(cls, positions, masses=None, initial_count: int | None = None) -> "Swarm":
-        """Build a one-run swarm from copies of the inputs, defaulting to equal masses 1/n."""
-        return cls(np.array(positions, dtype=float), None if masses is None else np.array(masses, dtype=float),
-                   None, initial_count)
-
-    @classmethod
-    def _unchecked(cls, positions, masses, heights, initial_count, runs) -> "Swarm":
-        """A swarm from arrays an iteration derived from a checked swarm, skipping the checks."""
-        swarm = cls.__new__(cls)
-        swarm.positions, swarm.masses, swarm.heights = positions, masses, heights
-        swarm.initial_count, swarm.runs = initial_count, runs
-        return swarm
-
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.positions.shape[1]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
+    masses: np.ndarray
+    heights: np.ndarray
+    runs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -249,9 +187,8 @@ class IterationStats:
     ``ladder_evals`` each one's trial evaluations; ``positions``/``masses``/
     ``heights`` describe the post-merge swarm and alias the new swarm's
     arrays.  The counts are totals over the runs the swarm holds.
-    ``residual`` is what :func:`sbgd_iteration` returns: a float for an
-    unlabelled swarm (every ``run_sbgd`` history), one entry per run for a
-    labelled one.
+    ``residual`` holds one entry per run, in label order; in the history of
+    a lone run (every ``run_sbgd`` history) it is that run's float.
     """
 
     eliminated: int
@@ -266,63 +203,44 @@ class IterationStats:
     positions: np.ndarray
     masses: np.ndarray
     heights: np.ndarray
-    residual: float | np.ndarray
+    residual: np.ndarray | float
     runs: np.ndarray
     ladder_evals: np.ndarray
 
 
-def relative_heights(heights, eps: float = 1e-10, *, bounds=None) -> np.ndarray:
-    """Normalized heights ``(F_i - F_min) / (F_max - F_min + eps)``.
+def relative_heights(heights: np.ndarray, eps: float, bounds: np.ndarray) -> np.ndarray:
+    """Normalized heights ``(F_i - F_min) / (F_max - F_min + eps)``, each run over its own extremes.
 
-    The current minimizer maps to exactly 0; the regularizer ``eps`` keeps
+    ``bounds`` gives the run boundaries: run ``k`` is ``bounds[k]:bounds[k+1]``.
+    Every run's minimizer maps to exactly 0; the regularizer ``eps`` keeps
     the ratio defined when all heights coincide.  Values lie in [0, 1] (the
     upper end is reached only when the spread is so large that ``eps``
-    vanishes in rounding).  For a several-run swarm, ``bounds`` gives the
-    run boundaries (run ``k`` is ``bounds[k]:bounds[k+1]``), and every run
-    uses its own extremes.
+    vanishes in rounding).
     """
-    f = np.asarray(heights, dtype=float)
-    if f.ndim != 1 or f.size < 1:
-        raise ValueError(f"heights must be a non-empty 1-D array, got shape {f.shape}")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    bounds = np.array([0, f.size]) if bounds is None else bounds
     starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
-    f_min = np.minimum.reduceat(f, starts)
-    f_max = np.maximum.reduceat(f, starts)
-    return (f - f_min.repeat(counts)) / (f_max - f_min + eps).repeat(counts)
+    f_min = np.minimum.reduceat(heights, starts)
+    f_max = np.maximum.reduceat(heights, starts)
+    return (heights - f_min.repeat(counts)) / (f_max - f_min + eps).repeat(counts)
 
 
-def transfer_mass(masses, eta, p: float, i_min, total=None, *, bounds=None) -> np.ndarray:
-    """Shed the fraction ``eta_i^p`` of each agent's mass to the minimizer.
+def transfer_mass(masses: np.ndarray, eta: np.ndarray, p: float, i_min: np.ndarray, total: np.ndarray,
+                  bounds: np.ndarray) -> np.ndarray:
+    """Shed the fraction ``eta_i^p`` of each agent's mass to its run's minimizer.
 
-    The minimizer's new mass is computed as ``total`` minus the sum of the
-    other new masses, so the swarm total is preserved to rounding no matter
-    how many iterations accumulate.  ``total`` defaults to the sum of
-    ``masses`` and lets callers fold in mass from eliminated agents.  For a
-    several-run swarm, ``bounds`` gives the run boundaries as for
-    :func:`relative_heights`, and ``i_min`` and ``total`` hold one entry
-    per run.
+    ``i_min`` and ``total`` hold one entry per run, whose boundaries
+    ``bounds`` gives as for :func:`relative_heights`.  A minimizer's new
+    mass is its run's ``total`` minus the sum of the run's other new masses,
+    so each run's total is preserved to rounding no matter how many
+    iterations accumulate; ``total`` also folds in the mass of eliminated
+    agents.
     """
-    m = np.asarray(masses, dtype=float)
-    e = np.asarray(eta, dtype=float)
-    if m.shape != e.shape or m.ndim != 1:
-        raise ValueError(f"masses and eta must be matching 1-D arrays, got {m.shape} and {e.shape}")
-    bounds = np.array([0, m.size]) if bounds is None else bounds
-    mins = np.atleast_1d(i_min)
-    if mins.shape != (bounds.size - 1,) or not ((bounds[:-1] <= mins) & (mins < bounds[1:])).all():
-        raise ValueError(f"i_min {i_min} out of range for {m.size} agents")
-    if (e[mins] != 0.0).any():
-        raise ValueError(f"the minimizer must have relative height 0, got {e[mins][e[mins] != 0.0][0]}")
-    if not p > 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    if total is None:
-        total = _run_sums(m, bounds)
-    out = m * (1.0 - e**p)
-    others = np.ones(m.size, dtype=bool)
-    others[mins] = False
+    if (eta[i_min] != 0.0).any():
+        raise ValueError(f"the minimizer must have relative height 0, got {eta[i_min][eta[i_min] != 0.0][0]}")
+    out = masses * (1.0 - eta**p)
+    others = np.ones(masses.size, dtype=bool)
+    others[i_min] = False
     # Run k's other agents sit between its bounds, shifted by the k minimizers before it.
-    out[mins] = total - _run_sums(out[others], bounds - np.arange(bounds.size))
+    out[i_min] = total - _run_sums(out[others], bounds - np.arange(bounds.size))
     return out
 
 
@@ -387,7 +305,7 @@ def _greedy_clusters(positions, masses, heights, tol):
 
 
 def _merge_agents(
-    positions: np.ndarray, masses: np.ndarray, heights: np.ndarray, tol: float, runs=None
+    positions: np.ndarray, masses: np.ndarray, heights: np.ndarray, tol: float, runs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray | None]:
     """Greedily cluster agents within ``tol`` of a leader and merge each cluster, run by run.
 
@@ -398,7 +316,6 @@ def _merge_agents(
     merged away, and the mask of agents kept (``None`` when none merged).
     """
     n = masses.size
-    runs = np.zeros(n, dtype=int) if runs is None else runs
     keep = None
     # Merges are rare: the greedy loop runs only for the runs a vectorised
     # check flags.  The margin keeps that check conservative against
@@ -422,23 +339,16 @@ def _merge_agents(
 
 
 def sbgd_iteration(
-    swarm: Swarm, obj: Objective, params: SBGDParams
-) -> tuple[Swarm, float | np.ndarray, IterationStats]:
+    swarm: _Swarm, obj: Objective, params: SBGDParams, initial_count: int
+) -> tuple[_Swarm, np.ndarray, IterationStats]:
     """Advance every run of the swarm by one full iteration.
 
-    Returns the new swarm, the residual (Euclidean distance between the new
-    and previous minimizer positions), and an :class:`IterationStats` record.
-    For a swarm with run labels the residual holds one entry per run, in
-    label order; otherwise it is a float.
+    ``initial_count`` is the agent count each run started with.  Returns the
+    new swarm, the residual (per run, in label order, the Euclidean distance
+    between the new and previous minimizer positions), and an
+    :class:`IterationStats` record.
     """
-    pos = swarm.positions
-    m = swarm.masses
-    f = swarm.heights
-    runs = np.zeros(m.size, dtype=int) if swarm.runs is None else swarm.runs
-    n_evals = 0
-    if f is None:
-        f = obj.evaluate_many(pos)
-        n_evals += pos.shape[0]
+    pos, m, f, runs = swarm
     bounds = _layout(runs)
     total = _run_sums(m, bounds)
     i_min = _run_argmin(f, bounds)
@@ -446,7 +356,7 @@ def sbgd_iteration(
 
     # (1) drop agents whose mass fell below tolm/N0; their mass rejoins the
     # pool via `total` and lands on the minimizer in the transition below.
-    keep = m >= params.tolm / swarm.initial_count
+    keep = m >= params.tolm / initial_count
     keep[i_min] = True
     eliminated = int(keep.size - np.count_nonzero(keep))
     if eliminated:
@@ -458,8 +368,8 @@ def sbgd_iteration(
         runs = runs[keep]
 
     # (2) mass transition driven by relative heights, run by run.
-    eta = relative_heights(f, params.eps_eta, bounds=bounds)
-    m_new = transfer_mass(m, eta, params.p, i_min, total=total, bounds=bounds)
+    eta = relative_heights(f, params.eps_eta, bounds)
+    m_new = transfer_mass(m, eta, params.p, i_min, total, bounds)
 
     # (3) mass-weighted backtracking step for every agent of every run.
     starts = bounds[:-1]
@@ -469,7 +379,6 @@ def sbgd_iteration(
     g_sq = np.sum(grads * grads, axis=1)
     ladder = np.zeros(pos.shape[0], dtype=int)
     h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, counts=ladder)
-    n_evals += evals
     new_pos = pos - h[:, None] * grads
 
     # (4) merge agents of one run that landed on top of each other; only a
@@ -486,14 +395,10 @@ def sbgd_iteration(
 
     j_min = _run_argmin(merged_f, bounds)
     residual = _row_norms(merged_pos[j_min] - x_min_prev)
-    if swarm.runs is None:
-        residual = float(residual[0])
-    out = Swarm._unchecked(merged_pos, merged_m, merged_f, swarm.initial_count,
-                           None if swarm.runs is None else merged_runs)
     stats = IterationStats(
         eliminated=eliminated,
         merged=merged_away,
-        objective_evals=n_evals,
+        objective_evals=evals,
         gradient_evals=pos.shape[0],
         heights_before=f,
         grad_sq_norms=g_sq,
@@ -507,7 +412,7 @@ def sbgd_iteration(
         runs=runs,
         ladder_evals=ladder,
     )
-    return out, residual, stats
+    return _Swarm(merged_pos, merged_m, merged_f, merged_runs), residual, stats
 
 
 def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) -> list[RunResult]:
@@ -561,12 +466,10 @@ def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) 
 
 
 class _SwarmRuns:
-    """The swarm's :func:`_lockstep` engine: one :class:`Swarm` for all runs.
+    """The swarm's :func:`_lockstep` engine: one :class:`_Swarm` for all runs.
 
-    The swarm is labelled by run when it holds several; a lone run steps an
-    unlabelled swarm, as a direct :func:`sbgd_iteration` caller does, so its
-    history records a float residual.  The agents of the runs that stop in
-    a step leave the swarm at the start of the next one.
+    The agents of the runs that stop in a step leave the swarm at the start
+    of the next one.
     """
 
     def __init__(self, obj: Objective, params: SBGDParams, init_positions):
@@ -576,8 +479,9 @@ class _SwarmRuns:
         self.obj = obj
         self.params = params
         self.n_runs = n_runs
-        self.swarm = Swarm(pos, np.full(pos.shape[0], 1.0 / n), obj.evaluate_many(pos), n,
-                           np.repeat(np.arange(n_runs), n) if n_runs > 1 else None)
+        self.initial_count = n
+        self.swarm = _Swarm(pos, np.full(pos.shape[0], 1.0 / n), obj.evaluate_many(pos),
+                            np.repeat(np.arange(n_runs), n))
         self.objective_evals = np.full(n_runs, n)
         self.stopped: list[int] = []
         self.record = None
@@ -586,14 +490,16 @@ class _SwarmRuns:
         s = self.swarm
         if self.stopped:
             keep = ~np.isin(s.runs, self.stopped)
-            s = Swarm._unchecked(s.positions[keep], s.masses[keep], s.heights[keep], s.initial_count,
-                                 s.runs[keep])
-        self.swarm, residual, stats = sbgd_iteration(s, self.obj, self.params)
+            s = _Swarm(*(a[keep] for a in s))
+        self.swarm, residual, stats = sbgd_iteration(s, self.obj, self.params, self.initial_count)
+        if self.n_runs == 1:
+            # A lone run's history records its residual as a float.
+            stats.residual = float(residual[0])
         self.record = stats
         runs = stats.runs
         gradient = np.bincount(runs, minlength=self.n_runs)
         objective = np.bincount(runs, weights=stats.ladder_evals, minlength=self.n_runs)
-        stops = dict.fromkeys(gradient.nonzero()[0][np.atleast_1d(residual) < self.params.tolres].tolist(),
+        stops = dict.fromkeys(gradient.nonzero()[0][residual < self.params.tolres].tolist(),
                               StopReason.RESIDUAL)
         # A run down to one agent that could not step has stalled, whatever its residual.
         stalled = runs[(gradient == 1)[runs] & (stats.step_sizes == 0.0)]
@@ -603,7 +509,7 @@ class _SwarmRuns:
 
     def solution(self, run: int):
         s = self.swarm
-        lo, hi = (0, s.size) if s.runs is None else np.searchsorted(s.runs, [run, run + 1]).tolist()
+        lo, hi = np.searchsorted(s.runs, [run, run + 1]).tolist()
         i = lo + int(np.argmin(s.heights[lo:hi]))
         return s.positions[i].copy(), float(s.heights[i]), 0
 

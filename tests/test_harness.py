@@ -6,6 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from per_run_oracle import oracle_correct
 
 from swarmdescent import harness
 from swarmdescent.baselines import BaselineMethod, BaselineParams
@@ -249,6 +253,51 @@ class TestCorrection:
         corr = precondition_and_correct(run_experiment(cfg))
         assert corr.converged
         assert 0.5 <= corr.err_inf <= 2.5
+
+
+_CORRECTION_OBJECTIVES = {
+    1: ("ackley1d", "flatbasin1d", "rastrigin1d", "quadratic"),
+    2: ("ackley", "dropwave", "rastrigin", "rosenbrock2d"),
+    20: ("ackley", "rastrigin", "quadratic"),
+}
+
+
+@st.composite
+def _correction_cases(draw):
+    """A landscape, a mean solution near or far from its minimizer, ladder settings and both caps."""
+    d = draw(st.sampled_from(sorted(_CORRECTION_OBJECTIVES)))
+    obj = make_objective(draw(st.sampled_from(_CORRECTION_OBJECTIVES[d])), d,
+                         shift_b=draw(st.sampled_from([0.0, 1.5])))
+    scale = draw(st.sampled_from([2e-15, 1e-6, 0.1, 1.0, 3.0]))
+    mean = obj.minimizer + scale * draw(hnp.arrays(np.float64, d, elements=st.floats(-1.0, 1.0)))
+    params = BacktrackParams(lam=draw(st.floats(0.05, 0.9)), gamma=draw(st.floats(0.5, 0.95)),
+                             h0=draw(st.floats(0.5, 2.0)))
+    return obj, mean, params, draw(st.sampled_from([1e-3, 1e-8, 0.0])), draw(st.sampled_from([0, 1, 3, 300]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_correction_cases())
+# A stalling start at the Ackley cone tip, and the 20-D Ackley correction at its defaults.
+@example((make_objective("ackley", 1), np.array([2e-15]), BacktrackParams(), 1e-3, 10000))
+@example((make_objective("ackley", 20), np.full(20, 0.01), BacktrackParams(h0=2.0), 1e-3, 10000))
+def test_correction_matches_the_single_point_loop_bitwise(case):
+    obj, mean, params, grad_tol, max_iters = case
+    report = ExperimentReport(
+        config=ExperimentConfig(objective=obj, method=SBGDParams(backtrack=params), n_agents=1,
+                                n_runs=1, seed=0),
+        success_rate=0.0,
+        mean_sq_error=0.0,
+        mean_abs_error=0.0,
+        avg_loss=0.0,
+        mean_solution=mean,
+        per_run=[],
+        successes=[],
+    )
+    got = precondition_and_correct(report, grad_tol=grad_tol, max_iters=max_iters)
+    want = oracle_correct(obj, mean, grad_tol, params, max_iters)
+    assert np.array_equal(got.x_corrected.view(np.int64), want.x_corrected.view(np.int64))
+    assert np.float64(got.f_corrected).view(np.int64) == np.float64(want.f_corrected).view(np.int64)
+    assert (got.err_inf, got.converged, got.iterations) == (want.err_inf, want.converged, want.iterations)
 
 
 class TestHistogram:

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from per_run_oracle import oracle_batch
+from per_run_oracle import one_row_backtrack, oracle_batch
 
 from swarmdescent import baselines, harness, swarm
 from swarmdescent.cli import main as cli_main
 from swarmdescent.cli import preset_names
-from swarmdescent.linesearch import _MAX_POINTS, BacktrackParams, _ladder, backtrack, backtrack_batch
+from swarmdescent.linesearch import _MAX_POINTS, BacktrackParams, _ladder, backtrack_batch
 from swarmdescent.objectives import make_objective
 
 QUAD1 = make_objective("quadratic", 1)
@@ -60,7 +60,7 @@ def reference_backtrack_batch(obj, positions, grads, c, params, f_current, *, co
 def test_quadratic_accepts_first_step():
     # On 1/2 x^2 the Armijo condition holds iff h <= 2(1 - c); with c = 0.2
     # the threshold is 1.6, so the ladder accepts h0 = 1 immediately.
-    h, f_new, n_evals = backtrack(QUAD1, [1.0], [1.0], 0.2, BacktrackParams(), f_x=0.5)
+    h, f_new, n_evals = one_row_backtrack(QUAD1, [1.0], [1.0], 0.2, BacktrackParams(), f_x=0.5)
     assert h == 1.0
     assert f_new == 0.0
     assert n_evals == 1
@@ -69,24 +69,17 @@ def test_quadratic_accepts_first_step():
 def test_quadratic_shrinks_oversized_step():
     # h0 = 2 exceeds the 1.6 threshold; 2*0.9^3 = 1.458 is the first rung below.
     params = BacktrackParams(h0=2.0)
-    h, f_new, n_evals = backtrack(QUAD1, [1.0], [1.0], 0.2, params, f_x=0.5)
+    h, f_new, n_evals = one_row_backtrack(QUAD1, [1.0], [1.0], 0.2, params, f_x=0.5)
     assert h == 2.0 * 0.9**3
     assert f_new == QUAD1.evaluate([1.0 - h])
     assert n_evals == 4
 
 
 def test_zero_gradient_accepts_h0_without_moving():
-    h, f_new, n_evals = backtrack(QUAD1, [0.0], [0.0], 0.2, BacktrackParams(), f_x=0.0)
+    h, f_new, n_evals = one_row_backtrack(QUAD1, [0.0], [0.0], 0.2, BacktrackParams(), f_x=0.0)
     assert h == BacktrackParams().h0
     assert f_new == 0.0
     assert n_evals == 1
-
-
-def test_missing_f_x_costs_one_extra_evaluation():
-    h1, f1, n1 = backtrack(QUAD1, [1.0], [1.0], 0.2, BacktrackParams())
-    h2, f2, n2 = backtrack(QUAD1, [1.0], [1.0], 0.2, BacktrackParams(), f_x=0.5)
-    assert (h1, f1) == (h2, f2)
-    assert n1 == n2 + 1
 
 
 def test_stall_at_a_conical_minimum():
@@ -97,7 +90,7 @@ def test_stall_at_a_conical_minimum():
     x = np.array([2e-15])
     g = obj.gradient(x)
     f_x = obj.evaluate(x)
-    h, f_new, n_evals = backtrack(obj, x, g, 0.2, BacktrackParams(), f_x=f_x)
+    h, f_new, n_evals = one_row_backtrack(obj, x, g, 0.2, BacktrackParams(), f_x=f_x)
     assert h == 0.0
     assert f_new == f_x
     # The ladder was walked all the way down to the floor.
@@ -121,7 +114,7 @@ def test_descent_condition_holds_as_evaluated():
         )
         g = obj.gradient(x)
         f_x = obj.evaluate(x)
-        h, f_new, _ = backtrack(obj, x, g, c, params, f_x=f_x)
+        h, f_new, _ = one_row_backtrack(obj, x, g, c, params, f_x=f_x)
         if h > 0.0:
             g_sq = np.sum(np.atleast_1d(g) * np.atleast_1d(g))
             assert f_new <= f_x - c * h * g_sq
@@ -139,7 +132,7 @@ def test_step_lower_bound_on_quadratic():
         c = float(rng.uniform(0.05, 0.95))
         gamma = float(rng.uniform(0.5, 0.95))
         params = BacktrackParams(lam=c, gamma=gamma, h0=float(rng.uniform(0.5, 3.0)))
-        h, _, _ = backtrack(obj, x, obj.gradient(x), c, params, f_x=obj.evaluate(x))
+        h, _, _ = one_row_backtrack(obj, x, obj.gradient(x), c, params, f_x=obj.evaluate(x))
         assert h > 0.0
         if h < params.h0:
             assert h >= (2.0 * gamma / mu) * (1.0 - c)
@@ -151,7 +144,7 @@ def test_step_monotone_in_descent_coefficient():
     g = obj.gradient(x)
     f_x = obj.evaluate(x)
     steps = [
-        backtrack(obj, x, g, c, BacktrackParams(lam=c), f_x=f_x)[0]
+        one_row_backtrack(obj, x, g, c, BacktrackParams(lam=c), f_x=f_x)[0]
         for c in np.arange(0.1, 1.0, 0.1)
     ]
     assert all(a >= b for a, b in zip(steps, steps[1:]))
@@ -167,7 +160,7 @@ def test_batch_matches_scalar_calls_bitwise():
     params = BacktrackParams()
     h_b, f_b, _ = backtrack_batch(obj, X, G, c, params, F)
     for i in range(6):
-        h_s, f_s, _ = backtrack(obj, X[i], G[i], float(c[i]), params, f_x=float(F[i]))
+        h_s, f_s, _ = one_row_backtrack(obj, X[i], G[i], float(c[i]), params, f_x=float(F[i]))
         assert h_s == h_b[i]
         assert f_s == f_b[i]
 

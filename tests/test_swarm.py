@@ -9,9 +9,9 @@ from swarmdescent.objectives import make_objective
 from swarmdescent.swarm import (
     SBGDParams,
     StopReason,
-    Swarm,
     _merge_agents,
     _run_argmin,
+    _Swarm,
     relative_heights,
     run_sbgd,
     run_sbgd_batch,
@@ -20,55 +20,75 @@ from swarmdescent.swarm import (
 )
 
 QUAD1 = make_objective("quadratic", 1)
+EPS = SBGDParams().eps_eta
+
+
+def _one_run(n):
+    """The run boundaries of a swarm holding one run of ``n`` agents."""
+    return np.array([0, n])
+
+
+def _eta(heights):
+    """Relative heights of one run's heights at the default ``eps_eta``."""
+    f = np.array(heights, dtype=float)
+    return relative_heights(f, EPS, _one_run(f.size))
+
+
+def _transfer(masses, eta, p, i_min, total=None):
+    """One run's mass transition; ``total`` defaults to the sum of ``masses``."""
+    m = np.array(masses, dtype=float)
+    total = m.sum() if total is None else total
+    return transfer_mass(m, np.array(eta, dtype=float), p, np.array([i_min]), np.array([total]),
+                         _one_run(m.size))
+
+
+def _swarm(positions, masses=None, obj=QUAD1):
+    """A one-run swarm at ``positions``, with equal masses 1/n by default."""
+    pos = np.array(positions, dtype=float)
+    n = pos.shape[0]
+    m = np.full(n, 1.0 / n) if masses is None else np.array(masses, dtype=float)
+    return _Swarm(pos, m, obj.evaluate_many(pos), np.zeros(n, dtype=int))
 
 
 class TestRelativeHeights:
     def test_spread_heights(self):
-        eta = relative_heights([1.0, 2.0, 3.0])
+        eta = _eta([1.0, 2.0, 3.0])
         assert eta[0] == 0.0
         assert eta[1] == pytest.approx(0.5, abs=1e-9)
         assert eta[2] == pytest.approx(1.0, abs=1e-9)
         assert np.all(eta < 1.0)
 
     def test_flat_heights(self):
-        assert np.array_equal(relative_heights([2.0, 2.0, 2.0]), [0.0, 0.0, 0.0])
+        assert np.array_equal(_eta([2.0, 2.0, 2.0]), [0.0, 0.0, 0.0])
 
     def test_single_agent(self):
-        assert np.array_equal(relative_heights([5.0]), [0.0])
+        assert np.array_equal(_eta([5.0]), [0.0])
 
     def test_argmin_is_exactly_zero(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             f = rng.normal(size=rng.integers(1, 12))
-            eta = relative_heights(f)
+            eta = _eta(f)
             assert eta[np.argmin(f)] == 0.0
             assert np.all((eta >= 0.0) & (eta <= 1.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            relative_heights([])
-        with pytest.raises(ValueError):
-            relative_heights([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            relative_heights([1.0], eps=0.0)
 
 
 class TestTransferMass:
     def test_linear_transition(self):
-        out = transfer_mass([1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 1.0], 1.0, 0)
+        out = _transfer([1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 1.0], 1.0, 0)
         assert out == pytest.approx([5 / 6, 1 / 6, 0.0], abs=1e-15)
 
     def test_quadratic_transition(self):
-        out = transfer_mass([1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 1.0], 2.0, 0)
+        out = _transfer([1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 1.0], 2.0, 0)
         assert out == pytest.approx([0.75, 0.25, 0.0], abs=1e-15)
 
     def test_lone_agent_keeps_everything(self):
-        assert np.array_equal(transfer_mass([1.0], [0.0], 3.0, 0), [1.0])
+        assert np.array_equal(_transfer([1.0], [0.0], 3.0, 0), [1.0])
 
     def test_explicit_total_folds_in_recovered_mass(self):
         # Mass reclaimed from eliminated agents enters through `total` and
         # lands on the minimizer.
-        out = transfer_mass([0.5, 0.3], [0.0, 0.5], 1.0, 0, total=1.0)
+        out = _transfer([0.5, 0.3], [0.0, 0.5], 1.0, 0, total=1.0)
         assert out[1] == 0.3 * 0.5
         assert out[0] == 1.0 - out[1]
 
@@ -82,7 +102,7 @@ class TestTransferMass:
             i_min = int(rng.integers(n))
             eta[i_min] = 0.0
             p = float(rng.uniform(0.2, 4.0))
-            out = transfer_mass(m, eta, p, i_min)
+            out = _transfer(m, eta, p, i_min)
             assert abs(out.sum() - 1.0) <= 1e-12
             assert out[i_min] >= m[i_min]
             others = np.arange(n) != i_min
@@ -91,24 +111,17 @@ class TestTransferMass:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="relative height 0"):
-            transfer_mass([0.5, 0.5], [0.1, 0.9], 1.0, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            transfer_mass([1.0], [0.0], 1.0, 1)
-        with pytest.raises(ValueError, match="p must be positive"):
-            transfer_mass([1.0], [0.0], 0.0, 0)
-        with pytest.raises(ValueError):
-            transfer_mass([0.5, 0.5], [0.0], 1.0, 0)
+            _transfer([0.5, 0.5], [0.1, 0.9], 1.0, 0)
 
 
 class TestIteration:
     def test_single_agent_reduces_to_plain_backtracking(self):
-        swarm = Swarm.from_positions([[1.0]])
-        out, residual, stats = sbgd_iteration(swarm, QUAD1, SBGDParams())
+        out, residual, stats = sbgd_iteration(_swarm([[1.0]]), QUAD1, SBGDParams(), 1)
         # Full relative mass, so c = lam = 0.2 and the quadratic accepts h = 1.
         assert stats.effective_descent[0] == 0.2
         assert stats.step_sizes[0] == 1.0
         assert np.array_equal(out.positions, [[0.0]])
-        assert residual == 1.0
+        assert np.array_equal(residual, [1.0])
         assert out.masses[0] == 1.0
 
     def test_mass_composition_matches_the_pieces(self):
@@ -116,12 +129,8 @@ class TestIteration:
         # masses must equal transfer_mass applied to relative_heights of the
         # heights [0.5, 2, 4.5], and the minimizer ends up heaviest.
         params = SBGDParams(p=1.0)
-        swarm = Swarm.from_positions([[1.0], [2.0], [3.0]])
-        _, _, stats = sbgd_iteration(swarm, QUAD1, params)
-        f = np.array([0.5, 2.0, 4.5])
-        m_new = transfer_mass(
-            np.full(3, 1 / 3), relative_heights(f, params.eps_eta), 1.0, 0, total=1.0
-        )
+        _, _, stats = sbgd_iteration(_swarm([[1.0], [2.0], [3.0]]), QUAD1, params, 3)
+        m_new = _transfer(np.full(3, 1 / 3), _eta([0.5, 2.0, 4.5]), 1.0, 0, total=1.0)
         expected_coeff = 0.2 * (m_new / m_new.max()) ** 1.0
         assert int(np.argmax(m_new)) == 0
         assert expected_coeff[0] == 0.2
@@ -130,10 +139,9 @@ class TestIteration:
     def test_close_agents_merge_to_the_lower_one(self):
         # Both agents step straight to 0 and land within tolmerge: one merged
         # agent survives, carrying the whole swarm mass.
-        swarm = Swarm.from_positions([[0.5], [0.50005]])
-        out, _, stats = sbgd_iteration(swarm, QUAD1, SBGDParams())
+        out, _, stats = sbgd_iteration(_swarm([[0.5], [0.50005]]), QUAD1, SBGDParams(), 2)
         assert stats.merged == 1
-        assert out.size == 1
+        assert out.positions.shape == (1, 1)
         assert out.positions[0, 0] == 0.0
         assert out.masses[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -141,23 +149,18 @@ class TestIteration:
         # Threshold is tolm / N0 = 1e-4 / 4; the 1e-5 agent goes, the rest
         # keep stepping (h0 = 0.3 keeps them apart, so no merge confusion).
         params = SBGDParams(p=1.0, backtrack=BacktrackParams(h0=0.3))
-        swarm = Swarm.from_positions(
-            [[0.0], [0.5], [1.0], [2.0]], masses=[0.5, 0.3, 0.2 - 1e-5, 1e-5]
-        )
-        out, _, stats = sbgd_iteration(swarm, QUAD1, params)
+        swarm = _swarm([[0.0], [0.5], [1.0], [2.0]], masses=[0.5, 0.3, 0.2 - 1e-5, 1e-5])
+        out, _, stats = sbgd_iteration(swarm, QUAD1, params, 4)
         assert stats.eliminated == 1
         assert stats.merged == 0
-        assert out.size == 3
-        assert abs(out.total_mass - 1.0) <= 1e-12
-        assert out.initial_count == 4
+        assert out.positions.shape == (3, 1)
+        assert abs(out.masses.sum() - 1.0) <= 1e-12
 
     def test_minimizer_survives_elimination_even_at_tiny_mass(self):
-        swarm = Swarm.from_positions(
-            [[0.0], [3.0]], masses=[1e-6, 1.0 - 1e-6], initial_count=4
-        )
-        out, _, stats = sbgd_iteration(swarm, QUAD1, SBGDParams())
+        swarm = _swarm([[0.0], [3.0]], masses=[1e-6, 1.0 - 1e-6])
+        out, _, stats = sbgd_iteration(swarm, QUAD1, SBGDParams(), 4)
         assert stats.eliminated == 0
-        assert abs(out.total_mass - 1.0) <= 1e-12
+        assert abs(out.masses.sum() - 1.0) <= 1e-12
 
 
 class TestRunSBGD:
@@ -182,13 +185,12 @@ class TestRunSBGD:
         x0 = np.random.default_rng(4).uniform(-3.0, 3.0, (6, 2))
         history = run_sbgd(obj, x0, SBGDParams(), keep_history=True).history
         assert history and all(type(s.residual) is float for s in history)
-        _, residual, stats = sbgd_iteration(Swarm.from_positions(x0), obj, SBGDParams())
-        assert type(residual) is float and type(stats.residual) is float
-        assert stats.residual == history[0].residual
-        # A labelled swarm reports one residual per run.
-        labelled = Swarm(np.concatenate([x0, x0]), np.full(12, 1 / 6), initial_count=6,
-                         runs=np.repeat([0, 3], 6))
-        _, residual, _ = sbgd_iteration(labelled, obj, SBGDParams())
+        # The iteration itself reports one residual per run, a lone run included.
+        _, residual, stats = sbgd_iteration(_swarm(x0, obj=obj), obj, SBGDParams(), 6)
+        assert residual.shape == (1,) and stats.residual is residual
+        assert residual[0] == history[0].residual
+        both = _swarm(np.concatenate([x0, x0]), np.full(12, 1 / 6), obj)._replace(runs=np.repeat([0, 3], 6))
+        _, residual, _ = sbgd_iteration(both, obj, SBGDParams(), 6)
         assert residual.shape == (2,) and np.all(residual == history[0].residual)
 
     def test_stop_max_iters(self):
@@ -268,16 +270,6 @@ class TestRunSBGD:
 
 
 class TestValidation:
-    def test_swarm_shapes(self):
-        with pytest.raises(ValueError):
-            Swarm.from_positions(np.zeros((0, 1)))
-        with pytest.raises(ValueError):
-            Swarm.from_positions(np.zeros(3))
-        with pytest.raises(ValueError):
-            Swarm.from_positions([[1.0], [2.0]], masses=[1.0])
-        with pytest.raises(ValueError):
-            Swarm.from_positions([[1.0]], masses=[-0.5])
-
     def test_params(self):
         with pytest.raises(ValueError, match="p must be positive"):
             SBGDParams(p=0.0)
@@ -325,7 +317,7 @@ def test_merge_matches_greedy_loop(kind, tol):
     for seed in range(20):
         pos, masses, heights = _merge_inputs(kind, seed)
         with np.errstate(invalid="ignore"):  # inf - inf between infinite positions
-            got = _merge_agents(pos, masses, heights, tol)
+            got = _merge_agents(pos, masses, heights, tol, np.zeros(masses.size, dtype=int))
             want = reference_merge(pos, masses, heights, tol)
         assert got[3] == want[3]
         for a, b in zip(got[:3], want[:3]):
