@@ -103,7 +103,7 @@ class _Sweeps:
         params = self.params
         bt = params.backtrack
         idx = np.nonzero(self.active)[0]
-        x_act = self.X[idx]
+        x_act = self.X.take(idx, axis=0)
         grads = self.obj.gradient_many(x_act)
         runs = self.runs[idx]
         objective = np.zeros(self.n_runs, dtype=int)

@@ -261,7 +261,7 @@ def _close_agents(positions: np.ndarray, runs: np.ndarray, tol: float) -> np.nda
     window = max(tol, _UNDERFLOW_GAP)
     x0 = positions[:, 0]
     order = np.lexsort((x0, runs))
-    x0, runs, pos = x0[order], runs[order], positions[order]
+    x0, runs, pos = x0[order], runs[order], positions.take(order, axis=0)
     close = [np.zeros(0, dtype=int)]
     lead = np.arange(x0.size - 1)
     gap = 1
@@ -270,7 +270,7 @@ def _close_agents(positions: np.ndarray, runs: np.ndarray, tol: float) -> np.nda
         lead = lead[near]
         if not lead.size:
             break
-        dist = _row_norms(pos[lead + gap] - pos[lead])
+        dist = _row_norms(pos.take(lead + gap, axis=0) - pos.take(lead, axis=0))
         close.append(order[lead[dist < tol]])
         gap += 1
         lead = lead[lead + gap < x0.size]
@@ -335,7 +335,8 @@ def _merge_agents(
         masses[lo + leaders] = cluster_mass
     if keep is None:
         return positions, masses, heights, 0, None
-    return positions[keep], masses[keep], heights[keep], n - int(np.count_nonzero(keep)), keep
+    positions, masses, heights = (a.compress(keep, axis=0) for a in (positions, masses, heights))
+    return positions, masses, heights, n - int(np.count_nonzero(keep)), keep
 
 
 def sbgd_iteration(
@@ -352,7 +353,7 @@ def sbgd_iteration(
     bounds = _layout(runs)
     total = _run_sums(m, bounds)
     i_min = _run_argmin(f, bounds)
-    x_min_prev = pos[i_min]
+    x_min_prev = pos.take(i_min, axis=0)
 
     # (1) drop agents whose mass fell below tolm/N0; their mass rejoins the
     # pool via `total` and lands on the minimizer in the transition below.
@@ -362,10 +363,7 @@ def sbgd_iteration(
     if eliminated:
         bounds, seen = _kept_layout(keep, bounds)
         i_min = seen[i_min] - 1
-        pos = pos[keep]
-        m = m[keep]
-        f = f[keep]
-        runs = runs[keep]
+        pos, m, f, runs = (a.compress(keep, axis=0) for a in (pos, m, f, runs))
 
     # (2) mass transition driven by relative heights, run by run.
     eta = relative_heights(f, params.eps_eta, bounds)
@@ -394,7 +392,7 @@ def sbgd_iteration(
         merged_runs = runs[kept]
 
     j_min = _run_argmin(merged_f, bounds)
-    residual = _row_norms(merged_pos[j_min] - x_min_prev)
+    residual = _row_norms(merged_pos.take(j_min, axis=0) - x_min_prev)
     stats = IterationStats(
         eliminated=eliminated,
         merged=merged_away,
@@ -490,7 +488,7 @@ class _SwarmRuns:
         s = self.swarm
         if self.stopped:
             keep = ~np.isin(s.runs, self.stopped)
-            s = _Swarm(*(a[keep] for a in s))
+            s = _Swarm(*(a.compress(keep, axis=0) for a in s))
         self.swarm, residual, stats = sbgd_iteration(s, self.obj, self.params, self.initial_count)
         if self.n_runs == 1:
             # A lone run's history records its residual as a float.

@@ -258,17 +258,86 @@ def _bits(a):
 
 
 def _assert_matches_rung_by_rung(case):
-    h, f_new, n_evals = backtrack_batch(*case)
-    h_ref, f_ref, n_ref = reference_backtrack_batch(*case)
+    n = case[1].shape[0]
+    counts, counts_ref = np.full(n, -1), np.full(n, -1)
+    h, f_new, n_evals = backtrack_batch(*case, counts=counts)
+    h_ref, f_ref, n_ref = reference_backtrack_batch(*case, counts=counts_ref)
     assert np.array_equal(_bits(h), _bits(h_ref))
     assert np.array_equal(_bits(f_new), _bits(f_ref))
-    assert n_evals == n_ref
+    assert np.array_equal(counts, counts_ref)
+    assert n_evals == n_ref == counts.sum()
 
 
 @settings(deadline=None)
 @given(_ladder_cases())
 def test_batch_matches_rung_by_rung_ladder_bitwise(case):
     _assert_matches_rung_by_rung(case)
+
+
+def _mixed_agents(obj, n, seed):
+    """Agents that accept, stall below a far base, stall on a NaN base, or have a zero gradient, in turn."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, (n, obj.dimension))
+    G = obj.gradient_many(X)
+    F = obj.evaluate_many(X)
+    kind = np.arange(n) % 4
+    F[kind == 1] -= 1e6
+    F[kind == 2] = np.nan
+    G[kind == 3] = 0.0
+    return X, G, F, kind
+
+
+@pytest.mark.parametrize("c", [0.3, "per agent"])
+def test_counts_of_mixed_agents_match_rung_by_rung(c):
+    obj = make_objective("rastrigin", 2)
+    X, G, F, kind = _mixed_agents(obj, 40, 7)
+    c = np.random.default_rng(8).uniform(0.01, 0.99, 40) if c == "per agent" else c
+    params = BacktrackParams()
+    _assert_matches_rung_by_rung((obj, X, G, c, params, F))
+    counts = np.zeros(40, dtype=int)
+    h, _, _ = backtrack_batch(obj, X, G, c, params, F, counts=counts)
+    full = _ladder(params.h0, params.gamma, params.h_floor).size
+    assert np.all(counts[kind == 1] == full) and np.all(counts[kind == 2] == full)
+    assert np.all(counts[kind == 3] == 1)
+    assert np.all(h[kind == 0] > 0.0) and np.all(counts[kind == 0] < full)
+
+
+def test_wide_batch_in_one_rung_blocks_matches_rung_by_rung_bitwise():
+    # Past _MAX_POINTS // 2 searching agents every block is a single rung,
+    # the regime of a wide GD(BT) batch on the shifted 2-D Ackley.
+    n = _MAX_POINTS // 2 + 1
+    obj = make_objective("ackley", 2, shift_b=10.0)
+    X, G, F, kind = _mixed_agents(obj, n, 11)
+    sizes = []
+
+    class Recording:
+        def evaluate_many(self, points):
+            sizes.append(points.shape[0])
+            return obj.evaluate_many(points)
+
+    params = BacktrackParams(lam=0.3)
+    _assert_matches_rung_by_rung((obj, X, G, 0.3, params, F))
+    backtrack_batch(Recording(), X, G, 0.3, params, F)
+    assert sizes[0] == n
+    # The agents made to stall are still searching in the last block.
+    assert sizes[-1] >= np.count_nonzero(kind == 1) + np.count_nonzero(kind == 2)
+
+
+@pytest.mark.parametrize("c", ["array", "scalar", "stride 0"])
+def test_batch_leaves_its_inputs_alone(c):
+    obj = make_objective("ackley", 2)
+    X, G, F, _ = _mixed_agents(obj, 300, 5)
+    coeff = {"array": np.random.default_rng(6).uniform(0.01, 0.99, 300), "scalar": 0.2,
+             "stride 0": np.broadcast_to(np.float64(0.2), (300,))}[c]
+    inputs = [a for a in (X, G, F, coeff) if isinstance(a, np.ndarray)]
+    saved = [a.copy() for a in inputs]
+    for a in inputs:
+        a.flags.writeable = False
+    h, f_new, _ = backtrack_batch(obj, X, G, coeff, BacktrackParams(), F)
+    for a, before in zip(inputs, saved):
+        assert np.array_equal(_bits(a), _bits(before))
+        assert not np.shares_memory(h, a) and not np.shares_memory(f_new, a)
+    assert np.any(h > 0.0) and np.any(h == 0.0)
 
 
 @settings(deadline=None, max_examples=3)
