@@ -25,6 +25,7 @@ from .harness import (
     METHOD_NAMES,
     basin_sweep,
     config_from_dict,
+    histogram_coord,
     method_from_dict,
     objective_from_dict,
     report_to_dict,
@@ -158,8 +159,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    doc = _merge_config(args)
-    report = run_experiment(config_from_dict(doc), jobs=args.jobs)
+    cfg = config_from_dict(_merge_config(args))
+    if args.hist is not None:
+        histogram_coord(cfg.objective.dimension, args.hist_bin_width, args.hist_coord)
+    report = run_experiment(cfg, jobs=args.jobs)
     if args.csv is not None:
         write_report_csv(report, args.csv)
     if args.hist is not None:

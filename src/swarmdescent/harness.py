@@ -270,6 +270,24 @@ def precondition_and_correct(
     )
 
 
+def histogram_coord(d: int, bin_width: float, coord: int | None) -> int:
+    """The coordinate :func:`solution_histogram` bins for ``d``-dimensional solutions.
+
+    Raises ``ValueError`` for a non-positive ``bin_width``, an omitted
+    ``coord`` with ``d != 1``, or a ``coord`` outside ``[0, d)``, so the
+    options can be checked before any run.
+    """
+    if not bin_width > 0.0:
+        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if coord is None:
+        if d != 1:
+            raise ValueError(f"solutions are {d}-dimensional; pass an explicit coord")
+        coord = 0
+    if not 0 <= coord < d:
+        raise ValueError(f"coord {coord} out of range for dimension {d}")
+    return coord
+
+
 def solution_histogram(
     per_run: list[RunResult], bin_width: float = 1e-4, coord: int | None = None
 ) -> list[tuple[float, int]]:
@@ -284,15 +302,7 @@ def solution_histogram(
     """
     if not per_run:
         raise ValueError("per_run must be non-empty")
-    if not bin_width > 0.0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    d = per_run[0].x_sol.shape[0]
-    if coord is None:
-        if d != 1:
-            raise ValueError(f"solutions are {d}-dimensional; pass an explicit coord")
-        coord = 0
-    if not 0 <= coord < d:
-        raise ValueError(f"coord {coord} out of range for dimension {d}")
+    coord = histogram_coord(per_run[0].x_sol.shape[0], bin_width, coord)
     values = np.array([r.x_sol[coord] for r in per_run])
     with np.errstate(over="ignore", invalid="ignore"):
         bins = np.floor(values / bin_width)

@@ -23,6 +23,17 @@ evaluations up to and including the accepted rung (the whole ladder for a
 stalled agent).  The rungs a block evaluates past an agent's accepted one are
 not counted there, so more points are evaluated than that count shows.
 
+Blocks double in length from call to call, up to ``_MAX_POINTS`` points.  A
+call has a fixed cost: on 2-D Ackley one ladder block of 10 points takes
+about 23 us, 13 us of it in ``evaluate_many``, while each further point adds
+30-55 ns.  So a block is at least long enough to hold ``_MIN_COORDS``
+coordinates over the agents still searching, counted in coordinates because
+a point's cost grows with its dimension; 20 one-dimensional agents get 103
+rungs, enough for most of them to accept in one call.  The floor stops at
+``_LONE_RUNGS`` rungs, the block a lone agent in up to 16 dimensions starts
+with: few agents in low dimension accept well inside it, and longer blocks
+would mostly evaluate rungs past their accepted ones.
+
 Each block gathers the searching agents' rows of the inputs with ``take``,
 which numpy does several times faster than fancy or boolean indexing of an
 ``(m, d)`` array.  The rows are gathered anew in every block and live only
@@ -46,9 +57,17 @@ from .objectives import Objective
 
 __all__ = ["BacktrackParams", "backtrack_batch"]
 
-# Points per objective call below which the per-call overhead dominates: a
-# block holds at least this many points even when few agents are searching.
-_MIN_POINTS = 128
+# Coordinates per objective call below which the call's fixed cost (about
+# 23 us for a 10-point block of 2-D Ackley, against 30-55 ns per further
+# point) dominates.  Counted in coordinates, not points, because a point's
+# cost grows with its dimension: a block holds at least enough rungs to reach
+# this many coordinates over the searching agents, but at most _LONE_RUNGS.
+_MIN_COORDS = 2048
+# Rungs above which the floor stops growing: a lone agent's first block, the
+# same as when the floor counted 128 points.  Agents in low dimension accept
+# well inside it (the 1-D sweeps around rung 53 of a 306-rung ladder, 90% by
+# rung 84), so longer blocks would mostly evaluate rungs past the accepted one.
+_LONE_RUNGS = 128
 # Bound on the points of one call, which keeps a long ladder (gamma near 1)
 # from building one huge trial array.
 _MAX_POINTS = 8192
@@ -177,9 +196,11 @@ def backtrack_batch(
     """
     X = np.asarray(positions, dtype=float)
     G = np.asarray(grads, dtype=float)
-    if X.ndim != 2 or G.shape != X.shape:
-        raise ValueError(f"positions and grads must share a (n, d) shape, got {X.shape} and {G.shape}")
-    n = X.shape[0]
+    if X.ndim != 2 or G.shape != X.shape or X.shape[1] < 1:
+        raise ValueError(
+            f"positions and grads must share a (n, d) shape with d >= 1, got {X.shape} and {G.shape}"
+        )
+    n, d = X.shape
     coeff = np.broadcast_to(np.asarray(c, dtype=float), (n,))
     f_base = np.asarray(f_current, dtype=float)
     if f_base.shape != (n,):
@@ -198,7 +219,8 @@ def backtrack_batch(
     block = 1
     while idx.size and (walked < prefix.size or h_next > params.h_floor):
         m = idx.size
-        size = min(max(block, -(-_MIN_POINTS // m)), max(1, _MAX_POINTS // m))
+        floor = min(_LONE_RUNGS, -(-_MIN_COORDS // (m * d)))
+        size = min(max(block, floor), max(1, _MAX_POINTS // m))
         h_block = prefix[walked:walked + size]
         if h_block.size < size and h_next > params.h_floor:
             # Past the prefix, the next rungs by the same repeated shrink.
@@ -209,7 +231,7 @@ def backtrack_batch(
             h_block = np.concatenate((h_block, rungs))
         k = h_block.size
         f_trial = obj.evaluate_many(
-            (X.take(idx, axis=0) - h_block[:, None, None] * G.take(idx, axis=0)).reshape(-1, X.shape[1])
+            (X.take(idx, axis=0) - h_block[:, None, None] * G.take(idx, axis=0)).reshape(-1, d)
         )
         accept = f_trial.reshape(k, m) <= f_base.take(idx) - coeff.take(idx) * h_block[:, None] * g_sq.take(idx)
         hit, first = _first_accepted(accept)

@@ -257,6 +257,29 @@ class TestBench:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("flags, message", [
+        ([], "solutions are 2-dimensional; pass an explicit coord"),
+        (["--hist-coord", "2"], "coord 2 out of range for dimension 2"),
+        (["--hist-coord", "-1"], "coord -1 out of range for dimension 2"),
+        (["--hist-coord", "0", "--hist-bin-width", "0"], "bin_width must be positive, got 0.0"),
+    ])
+    def test_histogram_options_are_checked_before_the_batch_runs(
+        self, capsys, tmp_path, monkeypatch, flags, message
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", no_runs)
+        csv_path = tmp_path / "r.csv"
+        rc, out, err = _run(
+            capsys, "bench", "--preset", "ackley2d-b10-sbgd11-n100", "--m", "3", "--jobs", "1",
+            "--csv", str(csv_path), "--hist", str(tmp_path / "h.csv"), *flags,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_row_count_and_no_header(self, capsys):

@@ -201,6 +201,8 @@ def test_batch_shape_validation():
         backtrack_batch(QUAD1, np.zeros((3, 1)), np.zeros((2, 1)), 0.2, BacktrackParams(), np.zeros(3))
     with pytest.raises(ValueError):
         backtrack_batch(QUAD1, np.zeros((3, 1)), np.zeros((3, 1)), 0.2, BacktrackParams(), np.zeros(2))
+    with pytest.raises(ValueError, match="d >= 1"):
+        backtrack_batch(QUAD1, np.zeros((3, 0)), np.zeros((3, 0)), 0.2, BacktrackParams(), np.zeros(3))
 
 
 _OBJECTIVES_BY_DIM = {
@@ -308,19 +310,58 @@ def test_wide_batch_in_one_rung_blocks_matches_rung_by_rung_bitwise():
     n = _MAX_POINTS // 2 + 1
     obj = make_objective("ackley", 2, shift_b=10.0)
     X, G, F, kind = _mixed_agents(obj, n, 11)
-    sizes = []
-
-    class Recording:
-        def evaluate_many(self, points):
-            sizes.append(points.shape[0])
-            return obj.evaluate_many(points)
-
     params = BacktrackParams(lam=0.3)
     _assert_matches_rung_by_rung((obj, X, G, 0.3, params, F))
-    backtrack_batch(Recording(), X, G, 0.3, params, F)
+    recording = _Recording(obj)
+    backtrack_batch(recording, X, G, 0.3, params, F)
+    sizes = recording.sizes
     assert sizes[0] == n
     # The agents made to stall are still searching in the last block.
     assert sizes[-1] >= np.count_nonzero(kind == 1) + np.count_nonzero(kind == 2)
+
+
+class _Recording:
+    """An objective that records the number of points of each ``evaluate_many`` call."""
+
+    def __init__(self, obj):
+        self.obj, self.sizes = obj, []
+
+    def evaluate_many(self, points):
+        self.sizes.append(points.shape[0])
+        return self.obj.evaluate_many(points)
+
+
+def test_few_one_dimensional_agents_step_in_one_call():
+    # _MIN_COORDS over 20 agents of one coordinate gives a first block of
+    # ceil(2048 / 20) = 103 rungs, past every agent's accepted rung here.
+    obj = make_objective("ackley1d")
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-3.0, 3.0, (20, 1))
+    case = (obj, X, obj.gradient_many(X), 0.2, BacktrackParams(), obj.evaluate_many(X))
+    counts = np.zeros(20, dtype=int)
+    reference_backtrack_batch(*case, counts=counts)
+    assert 7 < counts.max() <= 103
+    _assert_matches_rung_by_rung(case)
+    recording = _Recording(obj)
+    backtrack_batch(recording, *case[1:])
+    assert recording.sizes == [20 * 103]
+
+
+@pytest.mark.parametrize("d", [1, 16])
+@pytest.mark.parametrize("stall", [False, True])
+def test_lone_agent_blocks_start_at_128_rungs(d, stall):
+    # A lone agent in up to 2048 / _LONE_RUNGS = 16 dimensions reaches the
+    # _LONE_RUNGS bound of the floor: 128-rung blocks until the doubling
+    # passes them, and a stalled agent walks the 306-rung ladder in three.
+    obj = make_objective("ackley", d)
+    X = np.full((1, d), 1.3)
+    F = obj.evaluate_many(X) - (1e6 if stall else 0.0)
+    case = (obj, X, obj.gradient_many(X), 0.2, BacktrackParams(), F)
+    _assert_matches_rung_by_rung(case)
+    recording = _Recording(obj)
+    backtrack_batch(recording, *case[1:])
+    full = _ladder(1.0, 0.9, 1e-14).size
+    assert recording.sizes == ([128, 128, full - 256] if stall else [128])
 
 
 @pytest.mark.parametrize("c", ["array", "scalar", "stride 0"])

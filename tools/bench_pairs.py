@@ -3,7 +3,10 @@
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json \
         [--workloads W1,W2] [--pairs 10] [--seed-base 7000]
 
-Each directory is a checkout holding ``perfbench/`` and ``BENCHMARK.json``.
+Each directory is a checkout holding ``perfbench/`` and ``BENCHMARK.json``,
+and both must hold the same benchmark: checkouts whose ``perfbench/`` files
+(other than the git-ignored ``out/`` and ``__pycache__/``) or
+``BENCHMARK.json`` differ are refused.
 Pair ``i`` runs ``perfbench/run.py --workload W --seed SEED_BASE+i --seconds
 S --trace 0`` once in each checkout, the parent first in even pairs and the
 change first in odd ones; ``S`` is the change's ``BENCHMARK.json``
@@ -11,11 +14,12 @@ change first in odd ones; ``S`` is the change's ``BENCHMARK.json``
 neither reads bytecode the other left behind.  The default workloads are
 all those ``BENCHMARK.json`` lists.
 
-``OUT.json`` gets every raw result and, for each workload and end-to-end
-metric, each side's median and quartiles and the number of pairs the change
-won (ties count for neither side).  The same summary is then printed as a
-markdown table.  The exit code is 1 if any run failed, was not ``correct``
-or had failed operations, else 0.
+``OUT.json`` gets every raw result, the digests of both sides' ``src/`` and
+of the shared benchmark, numpy's version and, for each workload and
+end-to-end metric, each side's median and quartiles and the number of pairs
+the change won (ties count for neither side).  The same summary is then
+printed as a markdown table.  The exit code is 1 if any run failed, was not
+``correct`` or had failed operations, else 0.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -54,13 +59,29 @@ def run_ok(result: dict) -> bool:
     return result["exit_code"] == 0 and result.get("correct") is True and result.get("failed") == 0
 
 
-def source_digest(checkout: Path) -> str:
-    """SHA-256 over the paths and bytes of the checkout's ``src/`` files, which identifies the code run."""
+def files_digest(root: Path, files) -> str:
+    """SHA-256 over the paths, relative to ``root``, and the bytes of ``files``."""
     digest = hashlib.sha256()
-    src = checkout / "src"
-    for path in sorted(p for p in src.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
-        digest.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes())
+    for path in sorted(files):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def source_digest(checkout: Path) -> str:
+    """SHA-256 over the checkout's ``src/`` files, which identifies the code run."""
+    src = checkout / "src"
+    return files_digest(src, (p for p in src.rglob("*") if p.is_file() and "__pycache__" not in p.parts))
+
+
+def benchmark_digest(checkout: Path) -> str:
+    """SHA-256 over ``BENCHMARK.json`` and the ``perfbench/`` files, which identifies the benchmark.
+
+    The git-ignored ``perfbench/out/`` and ``__pycache__/`` directories are left out.
+    """
+    bench = checkout / "perfbench"
+    files = [p for p in bench.rglob("*") if p.is_file()
+             and p.relative_to(bench).parts[0] != "out" and "__pycache__" not in p.parts]
+    return files_digest(checkout, files + [checkout / "BENCHMARK.json"])
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -132,8 +153,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1 and --seed-base >= 0")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, checkout in checkouts.items():
-        if not (checkout / "perfbench" / "run.py").is_file():
-            parser.error(f"{side} checkout has no perfbench/run.py")
+        for name in ("perfbench/run.py", "BENCHMARK.json"):
+            if not (checkout / name).is_file():
+                parser.error(f"{side} checkout has no {name}")
+    bench_sha256 = {side: benchmark_digest(checkout) for side, checkout in checkouts.items()}
+    if bench_sha256["parent"] != bench_sha256["change"]:
+        parser.error("the checkouts' perfbench/ files or BENCHMARK.json differ; "
+                     "pairs must run the same benchmark on both sides")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
@@ -156,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "src_sha256": {side: source_digest(checkout) for side, checkout in checkouts.items()},
+        "bench_sha256": bench_sha256["change"],
+        "numpy": metadata.version("numpy"),
         "pairs": args.pairs,
         "seed_base": args.seed_base,
         "summary": summarize(runs, spec["end_to_end"]),
