@@ -82,6 +82,7 @@ class _Sweeps:
         self.obj = obj
         self.params = params
         self.n_runs = n_runs
+        self.agents = n
         self.X = starts.reshape(n_runs * n, d)
         self.runs = np.repeat(np.arange(n_runs), n)
         self.active = np.ones(n_runs * n, dtype=bool)
@@ -134,16 +135,17 @@ class _Sweeps:
             stops = dict.fromkeys(np.flatnonzero((gradient > 0) & (left == 0)).tolist(), StopReason.RESIDUAL)
         return objective, gradient, stops
 
-    def solution(self, run: int):
-        lo, hi = np.searchsorted(self.runs, [run, run + 1])
-        X = self.X[lo:hi]
+    def solutions(self, runs: list[int]):
+        n = self.agents
+        rows = (np.array(runs)[:, None] * n + np.arange(n)).ravel()
+        X = self.X.take(rows, axis=0)
         if self.f is None:
-            f, evals = self.obj.evaluate_many(X), hi - lo
+            f, evals = self.obj.evaluate_many(X), n
         else:
-            f, evals = self.f[lo:hi], 0
+            f, evals = self.f.take(rows), 0
         # Diverged agents (nan height) must never be picked as the best one.
-        i_best = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
-        return X[i_best].copy(), float(f[i_best]), evals
+        best = np.where(np.isnan(f), np.inf, f).reshape(-1, n).argmin(axis=1) + np.arange(0, rows.size, n)
+        return X.take(best, axis=0), f.take(best), evals
 
 
 def _run(obj: Objective, starts, params: BaselineParams, history: list | None) -> list[RunResult]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -191,6 +190,18 @@ def _block_count(n_runs: int, jobs: int | None) -> int:
     return max(1, min(jobs, n_runs // _MIN_BLOCK_RUNS))
 
 
+def _process_pool(workers: int):
+    """A process pool of ``workers`` worker processes.
+
+    Its module pulls in ``multiprocessing``, tens of milliseconds of start-up,
+    so it is imported here, by the batches that start a pool, and not by every
+    CLI call.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentReport:
     """Run the whole batch and aggregate.
 
@@ -207,7 +218,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentRep
         results = _run_block(cfg, 0, m)
     else:
         edges = [m * j // n_blocks for j in range(n_blocks + 1)]
-        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+        with _process_pool(n_blocks) as pool:
             blocks = pool.map(_run_block, repeat(cfg), edges[:-1], edges[1:])
             results = [r for block in blocks for r in block]
     x_star = cfg.objective.minimizer

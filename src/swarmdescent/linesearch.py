@@ -201,12 +201,16 @@ def backtrack_batch(
             f"positions and grads must share a (n, d) shape with d >= 1, got {X.shape} and {G.shape}"
         )
     n, d = X.shape
-    coeff = np.broadcast_to(np.asarray(c, dtype=float), (n,))
+    coeff = np.asarray(c, dtype=float)
+    if coeff.ndim == 0:
+        coeff = np.full(n, coeff)
+    elif coeff.shape != (n,):
+        raise ValueError(f"c must be a scalar or have shape ({n},), got {coeff.shape}")
     f_base = np.asarray(f_current, dtype=float)
     if f_base.shape != (n,):
         raise ValueError(f"f_current must have shape ({n},), got {f_base.shape}")
 
-    g_sq = np.sum(G * G, axis=1)
+    g_sq = np.add.reduce(G * G, axis=1)
     h_out = np.zeros(n)
     f_out = f_base.copy()
     tried = np.empty(n, dtype=int) if counts is None else counts
@@ -247,4 +251,4 @@ def backtrack_batch(
         block *= 2
     # The agents left searching walked the whole ladder and stalled.
     tried[idx] = walked
-    return h_out, f_out, int(tried.sum())
+    return h_out, f_out, int(np.add.reduce(tried))

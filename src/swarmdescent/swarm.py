@@ -58,7 +58,7 @@ def _row_norms(diffs: np.ndarray) -> np.ndarray:
     expression so that single-agent trajectories of the two code paths agree
     bit for bit.
     """
-    return np.sqrt(np.sum(diffs * diffs, axis=1))
+    return np.sqrt(np.add.reduce(diffs * diffs, axis=1))
 
 
 def _as_starts(obj: Objective, init_positions) -> np.ndarray:
@@ -95,14 +95,43 @@ def _run_argmin(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return hits[hits.searchsorted(starts)]
 
 
+# numpy's sum adds fewer than this many values one at a time onto +0.0; from
+# this many on it sums pairwise, in an order only its own reduction follows.
+_SEQUENTIAL_SUM = 8
+_LANES = np.arange(_SEQUENTIAL_SUM - 1)[:, None]
+# Runs from which one gathered sum beats a ``.sum()`` call per run.  On a
+# 2-vCPU VM (numpy 2.4) the loop costs about 2 us plus 1.1 us per run and the
+# gather 7-12 us whatever the run count, so the two cross between 6 and 9
+# runs.  A lone run keeps its single call.
+_GATHERED_RUNS = 8
+
+
 def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per-run ``.sum()`` between consecutive ``bounds``.
+    """Per-run ``values[a:b].sum()`` between consecutive ``bounds``, bit for bit.
 
     ``np.add.reduceat`` would add in another order than a lone run's sum and
-    differ in the last bits, so each run is summed on its own.
+    differ in the last bits.  With ``_GATHERED_RUNS`` runs or more, the runs
+    shorter than ``_SEQUENTIAL_SUM`` are summed together in numpy's order:
+    row by row over a gather padded with +0.0, which leaves any partial sum
+    as it is, since a sum begun on +0.0 is never -0.0.  Longer runs, runs
+    whose sum is NaN (which of two NaNs an elementwise add keeps varies
+    along the array) and the runs of a smaller batch are summed one by one.
     """
     edges = bounds.tolist()
-    return np.array([values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
+    if len(edges) <= _GATHERED_RUNS:
+        return np.array([values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts
+    redo = counts >= _SEQUENTIAL_SUM
+    counts[redo] = 0
+    lanes = _LANES[:np.maximum.reduce(counts)]
+    sums = np.zeros(starts.size)
+    for row in np.where(lanes < counts, values.take(starts + lanes, mode="clip"), 0.0):
+        sums += row
+    redo |= np.isnan(sums)
+    for k in redo.nonzero()[0].tolist():
+        sums[k] = values[edges[k]:edges[k + 1]].sum()
+    return sums
 
 
 class _Swarm(NamedTuple):
@@ -374,7 +403,7 @@ def sbgd_iteration(
     m_rel = m_new / np.maximum.reduceat(m_new, starts).repeat(bounds[1:] - starts)
     coeff = params.backtrack.lam * m_rel**params.backtrack.q
     grads = obj.gradient_many(pos)
-    g_sq = np.sum(grads * grads, axis=1)
+    g_sq = np.add.reduce(grads * grads, axis=1)
     ladder = np.zeros(pos.shape[0], dtype=int)
     h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, counts=ladder)
     new_pos = pos - h[:, None] * grads
@@ -422,12 +451,13 @@ def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) 
     step; ``advance()``, which steps every live run once and returns each
     run's objective and gradient evaluations in that step (arrays of length
     ``n_runs``) and a dict mapping each run that stopped in that step to its
-    :class:`StopReason`; ``solution(run)``, the ``(x_sol, f_sol, evaluations
-    spent finding them)`` of a run that is live or stopped in the last step;
-    and ``record``, what ``history`` keeps of the last step (it is shared by
-    the results, so keep one only for a single run).  A run still going
-    after ``max_iters`` steps stops with ``MAX_ITERS``.  Results come back
-    in run order.
+    :class:`StopReason`; ``solutions(runs)``, for a list of runs that are
+    live or stopped in the last step, their ``x_sol`` rows, ``f_sol``
+    values and the evaluations spent finding them (per run, or one number
+    for all); and ``record``, what ``history`` keeps of the last step (it is
+    shared by the results, so keep one only for a single run).  A run still
+    going after ``max_iters`` steps stops with ``MAX_ITERS``.  Results come
+    back in run order.
     """
     iterations = np.zeros(n_runs, dtype=int)
     objective_evals = np.array(engine.objective_evals, dtype=int)
@@ -436,18 +466,22 @@ def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) 
     results: list = [None] * n_runs
 
     def retire(stops):
-        for run, reason in stops.items():
-            x_sol, f_sol, evals = engine.solution(run)
+        runs = list(stops)
+        x_sol, f_sol, evals = engine.solutions(runs)
+        for run, x, f, iters, objective, gradient in zip(
+            runs, x_sol, f_sol.tolist(), iterations[runs].tolist(),
+            (objective_evals[runs] + evals).tolist(), gradient_evals[runs].tolist(),
+        ):
             results[run] = RunResult(
-                x_sol=x_sol,
-                f_sol=f_sol,
-                iterations=int(iterations[run]),
-                objective_evals=int(objective_evals[run] + evals),
-                gradient_evals=int(gradient_evals[run]),
-                stop_reason=reason,
+                x_sol=x,
+                f_sol=f,
+                iterations=iters,
+                objective_evals=objective,
+                gradient_evals=gradient,
+                stop_reason=stops[run],
                 history=history,
             )
-            live[run] = False
+        live[runs] = False
 
     for _ in range(max_iters):
         iterations += live
@@ -456,9 +490,10 @@ def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) 
         gradient_evals += gradient
         if history is not None:
             history.append(engine.record)
-        retire(stops)
-        if not live.any():
-            return results
+        if stops:
+            retire(stops)
+            if not live.any():
+                return results
     retire(dict.fromkeys(np.flatnonzero(live).tolist(), StopReason.MAX_ITERS))
     return results
 
@@ -481,13 +516,15 @@ class _SwarmRuns:
         self.swarm = _Swarm(pos, np.full(pos.shape[0], 1.0 / n), obj.evaluate_many(pos),
                             np.repeat(np.arange(n_runs), n))
         self.objective_evals = np.full(n_runs, n)
+        self.live = np.ones(n_runs, dtype=bool)
         self.stopped: list[int] = []
         self.record = None
 
     def advance(self):
         s = self.swarm
         if self.stopped:
-            keep = ~np.isin(s.runs, self.stopped)
+            self.live[self.stopped] = False
+            keep = self.live[s.runs]
             s = _Swarm(*(a.compress(keep, axis=0) for a in s))
         self.swarm, residual, stats = sbgd_iteration(s, self.obj, self.params, self.initial_count)
         if self.n_runs == 1:
@@ -505,11 +542,11 @@ class _SwarmRuns:
         self.stopped = list(stops)
         return objective.astype(int), gradient, stops
 
-    def solution(self, run: int):
+    def solutions(self, runs: list[int]):
         s = self.swarm
-        lo, hi = np.searchsorted(s.runs, [run, run + 1]).tolist()
-        i = lo + int(np.argmin(s.heights[lo:hi]))
-        return s.positions[i].copy(), float(s.heights[i]), 0
+        bounds = _layout(s.runs)
+        best = _run_argmin(s.heights, bounds).take(s.runs.take(bounds[:-1]).searchsorted(runs))
+        return s.positions.take(best, axis=0), s.heights.take(best), 0
 
 
 def run_sbgd_batch(obj: Objective, init_positions, params: SBGDParams = SBGDParams()) -> list[RunResult]:

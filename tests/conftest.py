@@ -1,7 +1,5 @@
 """Fixtures shared by the test modules."""
 
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 from swarmdescent import harness
@@ -11,11 +9,11 @@ from swarmdescent import harness
 def pool_starts(monkeypatch):
     """The worker count of every process pool the harness starts during the test, in order."""
     started = []
+    start_pool = harness._process_pool
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def recording_pool(workers):
+        started.append(workers)
+        return start_pool(workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_process_pool", recording_pool)
     return started

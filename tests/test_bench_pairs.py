@@ -40,3 +40,26 @@ def test_checkouts_with_different_benchmarks_are_refused(tmp_path, capsys, edite
     assert exc.value.code == 2
     assert "perfbench/ files or BENCHMARK.json differ" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_summary_marks_each_ratio_over_its_bound():
+    bench_pairs = _bench_pairs()
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "cpu_s", "better": "lower", "bound": 0.25},
+               {"name": "rate", "better": "higher", "bound": 0.1}]
+    # Change over parent: wall_s 1.3 (worse than its bound), cpu_s 1.2
+    # (worse, within it), rate 0.8 (lower where higher is better: over).
+    values = {"parent": {"wall_s": 1.0, "cpu_s": 1.0, "rate": 10.0},
+              "change": {"wall_s": 1.3, "cpu_s": 1.2, "rate": 8.0}}
+    runs = [{"workload": "w", "pair": pair, "side": side,
+             "result": {"metrics": {name: {"value": value} for name, value in values[side].items()}}}
+            for pair in range(3) for side in bench_pairs.SIDES]
+    rows = bench_pairs.summarize(runs, metrics)["w"]
+    assert rows["wall_s"]["ratio"] == pytest.approx(1.3) and rows["wall_s"]["over_bound"]
+    assert rows["cpu_s"]["ratio"] == pytest.approx(1.2) and not rows["cpu_s"]["over_bound"]
+    assert rows["rate"]["ratio"] == pytest.approx(0.8) and rows["rate"]["over_bound"]
+    table = bench_pairs.summary_table({"w": rows}).splitlines()
+    assert table[0].endswith("| change/parent |")
+    assert [line.rsplit("|", 2)[1].strip() for line in table[2:]] == [
+        "**1.300 over bound**", "1.200", "**0.800 over bound**"]
+

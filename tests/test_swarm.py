@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from per_run_oracle import reference_merge
 
 from swarmdescent.linesearch import BacktrackParams
 from swarmdescent.objectives import make_objective
 from swarmdescent.swarm import (
+    _GATHERED_RUNS,
     SBGDParams,
     StopReason,
     _merge_agents,
     _run_argmin,
+    _run_sums,
     _Swarm,
     relative_heights,
     run_sbgd,
@@ -333,3 +337,42 @@ def test_run_argmin_picks_what_np_argmin_picks_in_each_run():
         bounds = np.concatenate(([0], np.cumsum(counts)))
         want = [a + np.argmin(values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
         assert np.array_equal(_run_argmin(values, bounds), want)
+
+
+# Values whose sums take every special path: signed zeros, subnormals,
+# infinities (opposite ones add to NaN), NaNs of both signs, magnitudes
+# whose sums overflow, and 1e16 beside 1.0, which tells one order of
+# additions from another.
+_SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf,
+                            1e300, -1e300, np.nan, -np.nan, 1e16, 1.0])
+
+
+@st.composite
+def _run_layouts(draw):
+    """Values and run boundaries: empty runs and runs of 1-7, 8-128 and over 128 values.
+
+    Batches fall on both sides of ``_GATHERED_RUNS``, so both the per-run
+    loop and the gather are exercised.
+    """
+    n_runs = draw(st.integers(1, 3 * _GATHERED_RUNS))
+    counts = draw(st.lists(st.one_of(st.sampled_from([0, 1, 7, 8]), st.integers(1, 7),
+                                      st.integers(8, 128), st.integers(129, 300)),
+                           min_size=n_runs, max_size=n_runs))
+    bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(bounds[-1])
+    special = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    spread = draw(st.sampled_from([1, 20, 300]))
+    values = np.where(special, rng.choice(_SPECIAL_VALUES, n),
+                      rng.standard_normal(n) * 10.0 ** rng.integers(-spread, spread + 1, n))
+    return values, bounds
+
+
+@settings(deadline=None, max_examples=300)
+@given(_run_layouts())
+def test_run_sums_match_each_runs_own_sum_bitwise(layout):
+    values, bounds = layout
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([values[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+        got = _run_sums(values, bounds)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

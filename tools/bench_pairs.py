@@ -16,9 +16,13 @@ all those ``BENCHMARK.json`` lists.
 
 ``OUT.json`` gets every raw result, the digests of both sides' ``src/`` and
 of the shared benchmark, numpy's version and, for each workload and
-end-to-end metric, each side's median and quartiles and the number of pairs
-the change won (ties count for neither side).  The same summary is then
-printed as a markdown table.  The exit code is 1 if any run failed, was not
+end-to-end metric, each side's median and quartiles, the number of pairs
+the change won (ties count for neither side), the ratio of the change's
+median to the parent's, and whether that ratio is worse than the metric's
+``bound`` in ``BENCHMARK.json`` allows (``over_bound``): above ``1 + bound``
+for a metric where lower is better, below ``1 - bound`` where higher is.
+The same summary is then printed as a markdown table, with each ratio over
+its bound marked.  The exit code is 1 if any run failed, was not
 ``correct`` or had failed operations, else 0.
 """
 
@@ -92,7 +96,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: each side's median and quartiles, and the change's wins."""
+    """Per workload and metric: each side's median and quartiles, the change's wins and median ratio."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -120,6 +124,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             for side in SIDES:
                 q1, median, q3 = quartiles(values[side])
                 row[side] = {"median": median, "q1": q1, "q3": q3}
+            base = row["parent"]["median"]
+            ratio = row["change"]["median"] / base if base else None
+            row["ratio"] = ratio
+            row["over_bound"] = ratio is not None and (ratio - 1.0 if lower else 1.0 - ratio) > metric["bound"]
             rows[name] = row
         summary[workload] = rows
     return summary
@@ -130,12 +138,18 @@ def summary_table(summary: dict) -> str:
     def cell(side: dict) -> str:
         return f"{side['median']:.4g} [{side['q1']:.4g}, {side['q3']:.4g}]"
 
-    lines = ["| workload | metric | parent median [q1, q3] | change median [q1, q3] | change wins |",
-             "| --- | --- | --- | --- | --- |"]
+    def ratio(row: dict) -> str:
+        if row["ratio"] is None:
+            return "n/a"
+        return f"**{row['ratio']:.3f} over bound**" if row["over_bound"] else f"{row['ratio']:.3f}"
+
+    lines = ["| workload | metric | parent median [q1, q3] | change median [q1, q3] | change wins "
+             "| change/parent |",
+             "| --- | --- | --- | --- | --- | --- |"]
     for workload, rows in summary.items():
         for metric, row in rows.items():
             lines.append(f"| `{workload}` | `{metric}` | {cell(row['parent'])} | "
-                         f"{cell(row['change'])} | {row['change_wins']}/{row['pairs']} |")
+                         f"{cell(row['change'])} | {row['change_wins']}/{row['pairs']} | {ratio(row)} |")
     return "\n".join(lines)
 
 
