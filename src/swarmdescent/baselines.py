@@ -63,7 +63,7 @@ class BaselineParams:
             raise ValueError("adam betas must lie in [0, 1)")
         if not self.adam_eps > 0.0:
             raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.tolres < 0.0:
+        if not self.tolres >= 0.0:
             raise ValueError(f"tolres must be non-negative, got {self.tolres}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import cache
@@ -90,6 +91,11 @@ def _validate_document(doc: dict, source: str) -> dict:
             raise ConfigError(
                 f"{source}: key {key!r} must be {expected.__name__}, got {value!r}"
             )
+        # NaN and infinities pass the parameter classes' range checks or make
+        # reports that are not strict JSON, so no source may set them.
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{source}: key {key!r} must be finite, got {value!r}")
         out[key] = value
     return out
 

@@ -169,7 +169,7 @@ class SBGDParams:
         if not self.p > 0.0:
             raise ValueError(f"p must be positive, got {self.p}")
         for name in ("tolm", "tolmerge", "tolres"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.eps_eta > 0.0:
             raise ValueError(f"eps_eta must be positive, got {self.eps_eta}")

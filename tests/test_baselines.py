@@ -151,6 +151,9 @@ class TestValidation:
             _params(BaselineMethod.ADAM, adam_eps=0.0)
         with pytest.raises(ValueError, match="max_iters"):
             _params(BaselineMethod.GD_FIXED, max_iters=0)
+        for tolres in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="tolres must be non-negative"):
+                _params(BaselineMethod.GD_BACKTRACK, tolres=tolres)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):

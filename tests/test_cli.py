@@ -171,6 +171,35 @@ class TestEveryKey:
         assert echoed == {key: _ALL_KEYS[key] for key in _READS[method]}
 
 
+_FLOAT_KEYS = sorted(key for key, (kind, _) in cli._SCHEMA.items() if kind is float)
+
+
+class TestNonFiniteValues:
+    # NaN passed range checks written as comparisons, and an infinite step
+    # ran to a report holding non-finite numbers.
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_float_is_a_config_error(self, capsys, tmp_path, source, key, value):
+        argv = ["bench", "--objective", "ackley1d", "--method", "gdbt", "--n", "3", "--m", "2",
+                "--seed", "1", "--jobs", "1"]
+        if source == "flag":
+            argv.append(f"--{key}={value}")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: float(value)}))
+            argv += ["--config", str(cfg)]
+        rc, out, err = _run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert f"key {key!r} must be finite" in err
+
+    @pytest.mark.parametrize("box", ["--init-box=-inf,1", "--init-box=0,inf"])
+    def test_non_finite_init_box_is_a_config_error(self, capsys, box):
+        rc, out, err = _run(capsys, "run", "--objective", "ackley1d", box)
+        assert (rc, out) == (2, "")
+        assert "key 'init_box' must be finite" in err
+
+
 class TestPresets:
     def test_all_presets_load_cleanly(self):
         names = preset_names()

@@ -14,7 +14,13 @@ from per_run_oracle import one_row_backtrack, oracle_batch
 from swarmdescent import baselines, harness, swarm
 from swarmdescent.cli import main as cli_main
 from swarmdescent.cli import preset_names
-from swarmdescent.linesearch import _MAX_POINTS, BacktrackParams, _ladder, backtrack_batch
+from swarmdescent.linesearch import (
+    _ARGMAX_COLUMNS,
+    _MAX_POINTS,
+    BacktrackParams,
+    _ladder,
+    backtrack_batch,
+)
 from swarmdescent.objectives import make_objective
 
 QUAD1 = make_objective("quadratic", 1)
@@ -276,6 +282,25 @@ def test_batch_matches_rung_by_rung_ladder_bitwise(case):
     _assert_matches_rung_by_rung(case)
 
 
+def _assert_scalar_c_matches_a_full_array(case, c):
+    obj, X, G, _, params, F = case
+    n = X.shape[0]
+    counts, counts_full = np.full(n, -1), np.full(n, -1)
+    h, f_new, n_evals = backtrack_batch(obj, X, G, c, params, F, counts=counts)
+    h_full, f_full, n_full = backtrack_batch(obj, X, G, np.full(n, c), params, F, counts=counts_full)
+    assert np.array_equal(_bits(h), _bits(h_full))
+    assert np.array_equal(_bits(f_new), _bits(f_full))
+    assert np.array_equal(counts, counts_full)
+    assert n_evals == n_full
+
+
+@settings(deadline=None, max_examples=50)
+@given(_ladder_cases(), st.floats(0.01, 0.99))
+def test_scalar_c_matches_a_full_array_bitwise(case, c):
+    # A scalar c takes c * h once per rung; an array takes it per agent and rung.
+    _assert_scalar_c_matches_a_full_array(case, c)
+
+
 def _mixed_agents(obj, n, seed):
     """Agents that accept, stall below a far base, stall on a NaN base, or have a zero gradient, in turn."""
     rng = np.random.default_rng(seed)
@@ -318,6 +343,44 @@ def test_wide_batch_in_one_rung_blocks_matches_rung_by_rung_bitwise():
     assert sizes[0] == n
     # The agents made to stall are still searching in the last block.
     assert sizes[-1] >= np.count_nonzero(kind == 1) + np.count_nonzero(kind == 2)
+
+
+def test_wide_batch_in_two_rung_blocks_matches_rung_by_rung_bitwise():
+    # 4000 agents, the width of a gdbt-ackley2d batch: _MAX_POINTS caps the
+    # blocks after the first at 2 rungs, and with more than _ARGMAX_COLUMNS
+    # agents searching their first accepts come from the weighted max.
+    n = 4000
+    obj = make_objective("ackley", 2, shift_b=10.0)
+    X, G, F, _ = _mixed_agents(obj, n, 13)
+    case = (obj, X, G, 0.3, BacktrackParams(lam=0.3), F)
+    _assert_matches_rung_by_rung(case)
+    _assert_scalar_c_matches_a_full_array(case, 0.3)
+    counts = np.zeros(n, dtype=int)
+    reference_backtrack_batch(*case, counts=counts)
+    searching = np.count_nonzero(counts > 1)
+    assert searching > _ARGMAX_COLUMNS
+    recording = _Recording(obj)
+    backtrack_batch(recording, *case[1:])
+    assert recording.sizes[:2] == [n, 2 * searching]
+
+
+@pytest.mark.parametrize("c", ["scalar", "per agent"])
+def test_agents_on_the_armijo_boundary_match_rung_by_rung_bitwise(c):
+    # Each base puts f - c h |g|^2 within an ulp of the first trial value, so
+    # c h |g|^2 rounded in any other order (such as c (h |g|^2)) flips accepts.
+    n = 3000
+    obj = make_objective("ackley", 2, shift_b=10.0)
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-3.0, 3.0, (n, 2))
+    G = obj.gradient_many(X)
+    coeff = 0.3 if c == "scalar" else rng.uniform(0.01, 0.99, n)
+    params = BacktrackParams(lam=0.3, h0=0.7)
+    drop = coeff * params.h0 * np.sum(G * G, axis=1)
+    F = obj.evaluate_many(X - params.h0 * G) + drop
+    F = np.where(rng.random(n) < 0.5, np.nextafter(F, np.inf), F)
+    _assert_matches_rung_by_rung((obj, X, G, coeff, params, F))
+    h, _, _ = reference_backtrack_batch(obj, X, G, coeff, params, F)
+    assert 0 < np.count_nonzero(h == params.h0) < n
 
 
 class _Recording:
@@ -366,19 +429,24 @@ def test_lone_agent_blocks_start_at_128_rungs(d, stall):
 
 @pytest.mark.parametrize("c", ["array", "scalar", "stride 0"])
 def test_batch_leaves_its_inputs_alone(c):
+    # The blocks form trial points and thresholds in place, in their own
+    # arrays; 4000 agents take the 2-rung blocks of a wide batch.
     obj = make_objective("ackley", 2)
-    X, G, F, _ = _mixed_agents(obj, 300, 5)
-    coeff = {"array": np.random.default_rng(6).uniform(0.01, 0.99, 300), "scalar": 0.2,
-             "stride 0": np.broadcast_to(np.float64(0.2), (300,))}[c]
-    inputs = [a for a in (X, G, F, coeff) if isinstance(a, np.ndarray)]
-    saved = [a.copy() for a in inputs]
-    for a in inputs:
-        a.flags.writeable = False
-    h, f_new, _ = backtrack_batch(obj, X, G, coeff, BacktrackParams(), F)
-    for a, before in zip(inputs, saved):
-        assert np.array_equal(_bits(a), _bits(before))
-        assert not np.shares_memory(h, a) and not np.shares_memory(f_new, a)
-    assert np.any(h > 0.0) and np.any(h == 0.0)
+    for n in (300, 4000):
+        X, G, F, _ = _mixed_agents(obj, n, 5)
+        coeff = {"array": np.random.default_rng(6).uniform(0.01, 0.99, n), "scalar": 0.2,
+                 "stride 0": np.broadcast_to(np.float64(0.2), (n,))}[c]
+        inputs = [a for a in (X, G, F, coeff) if isinstance(a, np.ndarray)]
+        saved = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        counts = np.zeros(n, dtype=int)
+        h, f_new, _ = backtrack_batch(obj, X, G, coeff, BacktrackParams(), F, counts=counts)
+        for a, before in zip(inputs, saved):
+            assert np.array_equal(_bits(a), _bits(before))
+            assert not any(np.shares_memory(out, a) for out in (h, f_new, counts))
+        assert not np.shares_memory(h, f_new)
+        assert np.any(h > 0.0) and np.any(h == 0.0)
 
 
 @settings(deadline=None, max_examples=3)

@@ -224,6 +224,19 @@ def _kernel_cases(draw):
 @example((Objective(ObjectiveKind.ACKLEY, 3), np.array([[0.0, np.inf, np.nan]])))
 @example((Objective(ObjectiveKind.RASTRIGIN, 2), np.array([[np.inf, np.nan]])))
 @example((Objective(ObjectiveKind.ROSENBROCK_2D, 2), np.array([[np.nan, -np.nan]])))
+# One- and two-row calls of the kernels whose narrow row sums start from their
+# first column, with NaNs of both signs, signed zeros and infinities summed.
+@example((Objective(ObjectiveKind.ACKLEY, 2), np.array([[-np.nan, np.nan]])))
+@example((Objective(ObjectiveKind.ACKLEY, 2), np.array([[np.nan, -np.nan], [-0.0, np.inf]])))
+@example((Objective(ObjectiveKind.ACKLEY, 2), np.array([[-np.inf, 0.0], [-0.0, -np.nan]])))
+@example((Objective(ObjectiveKind.ACKLEY, 3), np.array([[-0.0, -np.nan, np.inf]])))
+@example((Objective(ObjectiveKind.ACKLEY, 3), np.array([[np.nan, -np.nan, -np.inf], [-0.0, np.inf, -np.nan]])))
+@example((Objective(ObjectiveKind.RASTRIGIN, 2), np.array([[-np.nan, np.nan]])))
+@example((Objective(ObjectiveKind.RASTRIGIN, 3), np.array([[np.nan, -np.nan, -0.0], [np.inf, -np.inf, -np.nan]])))
+@example((Objective(ObjectiveKind.DROP_WAVE, 2), np.array([[-np.nan, -0.0]])))
+@example((Objective(ObjectiveKind.DROP_WAVE, 3), np.array([[np.nan, -np.nan, 0.0], [-0.0, -np.inf, np.nan]])))
+@example((Objective(ObjectiveKind.QUADRATIC, 2), np.array([[np.inf, -np.nan]])))
+@example((Objective(ObjectiveKind.QUADRATIC, 3), np.array([[-np.nan, np.nan, -0.0], [-0.0, -0.0, -np.inf]])))
 def test_kernels_match_the_whole_array_oracle_bitwise(case):
     obj, points = case
     with np.errstate(all="ignore"):

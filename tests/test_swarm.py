@@ -279,6 +279,9 @@ class TestValidation:
             SBGDParams(p=0.0)
         with pytest.raises(ValueError, match="tolm"):
             SBGDParams(tolm=-1.0)
+        for name in ("tolm", "tolmerge", "tolres"):
+            with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+                SBGDParams(**{name: float("nan")})
         with pytest.raises(ValueError, match="eps_eta"):
             SBGDParams(eps_eta=0.0)
         with pytest.raises(ValueError, match="max_iters"):

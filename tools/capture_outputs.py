@@ -1,6 +1,6 @@
 """Capture the CLI's output for every shipped preset, the basin sweeps, help and error paths.
 
-    python3 tools/capture_outputs.py DIR
+    python3 tools/capture_outputs.py DIR [--against OLD_DIR]
 
 For each command below, writes ``DIR/<name>.stdout``, ``.stderr`` and
 ``.rc`` (the exit code), plus ``DIR/<name>.<file>`` for each file the
@@ -19,14 +19,19 @@ directory, whose path reads ``TMP`` in the captured text:
   by config file (``bench`` and ``run``) and by flags (``bench``);
 * the usage and configuration errors (exit code 2): unknown, mistyped and
   missing keys, objectives, presets and methods, malformed init boxes,
-  out-of-range parameters, a 2-D sweep and a malformed seed variable.
+  out-of-range parameters, each float key set to ``nan``, ``inf`` and
+  ``-inf`` by flag, a 2-D sweep and a malformed seed variable.
 
-Two captures of the same behaviour, for example before and after a change
-that must not alter any result, compare with ``diff -r DIR1 DIR2``.
+With ``--against OLD_DIR``, the new capture is then compared byte for byte
+with an earlier one, for example of the parent of a change that must not
+alter any result: each file that differs, or that only one of the two
+directories holds, is printed, and the exit code is 1 if there is any.
+Capture into a new or empty ``DIR``, so that no stale file takes part.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -59,6 +64,9 @@ CONFIG_FILES = {
 }
 
 QUAD1 = ["--objective", "quadratic", "--d", "1"]
+SMALL_GDBT = ["--objective", "ackley1d", "--method", "gdbt", "--n", "3", "--m", "2", "--seed", "1",
+              "--jobs", "1"]
+FLOAT_KEYS = [key for key, value in ALL_KEYS.items() if isinstance(value, float)]
 ERRORS = {
     "unknown-key": ["run", "--config", f"{TMP}/unknown-key.json"],
     "wrong-type": ["run", "--config", f"{TMP}/wrong-type.json"],
@@ -81,6 +89,8 @@ ERRORS = {
     "sweep-2d": ["sweep", "--objective", "ackley", "--d", "2", "--from=-3", "--to=3", "--steps", "5"],
     "sweep-steps": ["sweep", *QUAD1, "--from=-3", "--to=3", "--steps", "0"],
     "seed-env": ["run", *QUAD1],
+    **{f"non-finite-{key}-{value}": ["bench", *SMALL_GDBT, f"--{key}={value}"]
+       for key in FLOAT_KEYS for value in ("nan", "inf", "-inf")},
 }
 ERROR_ENV = {"seed-env": {SEED_ENV_VAR: "many"}}
 
@@ -128,11 +138,29 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
     return out
 
 
+def differences(new: Path, old: Path) -> list[str]:
+    """One line for each file that differs between two captures or that only one holds."""
+    names = {p.name for p in new.iterdir()} | {p.name for p in old.iterdir()}
+    out = []
+    for name in sorted(names):
+        if not (new / name).is_file():
+            out.append(f"missing from {new}: {name}")
+        elif not (old / name).is_file():
+            out.append(f"missing from {old}: {name}")
+        elif (new / name).read_bytes() != (old / name).read_bytes():
+            out.append(f"differs: {name}")
+    return out
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    out_dir = Path(argv[0])
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("dir", type=Path, help="directory to capture into")
+    parser.add_argument("--against", type=Path, metavar="OLD_DIR",
+                        help="an earlier capture to compare the new one with")
+    opts = parser.parse_args(argv)
+    if opts.against is not None and not opts.against.is_dir():
+        parser.error(f"--against: no directory {opts.against}")
+    out_dir = opts.dir
     out_dir.mkdir(parents=True, exist_ok=True)
     base_env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     base_env.pop(SEED_ENV_VAR, None)
@@ -149,7 +177,14 @@ def main(argv: list[str]) -> int:
         for suffix, text in texts.items():
             (out_dir / f"{stem}.{suffix}").write_text(text.replace(tmp, "TMP"))
         print(f"{stem}: exit {proc.returncode}", flush=True)
-    return 0
+    if opts.against is None:
+        return 0
+    found = differences(out_dir, opts.against)
+    for line in found:
+        print(line)
+    print(f"{len(found)} files differ from {opts.against}" if found
+          else f"every file equals {opts.against}'s")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
