@@ -164,10 +164,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_output_path(flag: str, path: str) -> None:
+    """Refuse an output path that cannot be written, before any work and without touching it."""
+    parent = os.path.dirname(path) or "."
+    if not path:
+        problem = "the path is empty"
+    elif os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"no directory {parent!r}"
+    elif not (os.access(path, os.W_OK) if os.path.exists(path) else os.access(parent, os.W_OK | os.X_OK)):
+        problem = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {flag} file {path!r}: {problem}")
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = config_from_dict(_merge_config(args))
     if args.hist is not None:
         histogram_coord(cfg.objective.dimension, args.hist_bin_width, args.hist_coord)
+    for flag, path in (("--csv", args.csv), ("--hist", args.hist)):
+        if path is not None:
+            _check_output_path(flag, path)
     report = run_experiment(cfg, jobs=args.jobs)
     if args.csv is not None:
         write_report_csv(report, args.csv)

@@ -28,6 +28,13 @@ is computed over that run's agents alone with the same floating-point
 operations as for a lone run, so each run's result does not depend on
 which runs share its batch.  The baselines step their runs
 through the same run loop.
+
+A run of one agent has no one to communicate with: it is its own
+minimizer, its relative height is 0, it keeps its mass and its relative
+mass is 1.  So when every live run holds one agent, as in a basin sweep or
+once a swarm has collapsed, an iteration skips phases 1, 2 and 4 and steps
+as GD(BT) does, with coefficient ``lam``.  Each skipped phase would return
+its input bit for bit, so the step and its record are the full iteration's.
 """
 
 from __future__ import annotations
@@ -377,8 +384,19 @@ def sbgd_iteration(
     new swarm, the residual (per run, in label order, the Euclidean distance
     between the new and previous minimizer positions), and an
     :class:`IterationStats` record.
+
+    When every run holds one agent and every height is finite, the step is
+    GD(BT)'s: the communication phases are skipped, since each would return
+    its input bit for bit.  A lone agent is its run's minimizer, so it is
+    never eliminated; its relative height is ``0 / eps_eta = 0``, so it
+    sheds no mass and its new mass is ``total - 0.0``, its own; its relative
+    mass is 1, so its coefficient is ``lam * 1.0**q``; and it has no one to
+    merge with.  The record holds the values the full path computes.  A
+    non-finite height takes the full path, whose relative heights turn NaN.
     """
     pos, m, f, runs = swarm
+    if not (runs[1:] == runs[:-1]).any() and np.isfinite(f).all():
+        return _lone_iteration(swarm, obj, params)
     bounds = _layout(runs)
     total = _run_sums(m, bounds)
     i_min = _run_argmin(f, bounds)
@@ -440,6 +458,37 @@ def sbgd_iteration(
         ladder_evals=ladder,
     )
     return _Swarm(merged_pos, merged_m, merged_f, merged_runs), residual, stats
+
+
+def _lone_iteration(
+    swarm: _Swarm, obj: Objective, params: SBGDParams
+) -> tuple[_Swarm, np.ndarray, IterationStats]:
+    """:func:`sbgd_iteration` for a swarm whose every run holds one agent of finite height."""
+    pos, m, f, runs = swarm
+    coeff = params.backtrack.lam * 1.0**params.backtrack.q
+    grads = obj.gradient_many(pos)
+    ladder = np.zeros(pos.shape[0], dtype=int)
+    h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, counts=ladder)
+    new_pos = pos - h[:, None] * grads
+    residual = _row_norms(new_pos - pos)
+    stats = IterationStats(
+        eliminated=0,
+        merged=0,
+        objective_evals=evals,
+        gradient_evals=pos.shape[0],
+        heights_before=f,
+        grad_sq_norms=np.add.reduce(grads * grads, axis=1),
+        effective_descent=np.full(pos.shape[0], coeff),
+        step_sizes=h,
+        heights_after_step=f_step,
+        positions=new_pos,
+        masses=m,
+        heights=f_step,
+        residual=residual,
+        runs=runs,
+        ladder_evals=ladder,
+    )
+    return _Swarm(new_pos, m, f_step, runs), residual, stats
 
 
 def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) -> list[RunResult]:

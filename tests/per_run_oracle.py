@@ -51,7 +51,12 @@ def _row_norms(diffs):
 
 
 def _sbgd_step(pos, m, f, n0, obj, params):
-    """One single-run swarm iteration: new (pos, m, f), residual, the survivors' steps, evaluations."""
+    """One single-run swarm iteration: new (pos, m, f), residual, the survivors' steps, evaluations, record.
+
+    The record holds, by ``IterationStats`` field name, what the step did:
+    among others each survivor's coefficient, ``|g|^2`` and ladder count,
+    the new masses and the residual.
+    """
     total = m.sum()
     i_min = int(np.argmin(f))
     x_min_prev = pos[i_min].copy()
@@ -69,15 +74,32 @@ def _sbgd_step(pos, m, f, n0, obj, params):
     m_new[i_min] = total - m_new[others].sum()
     coeff = params.backtrack.lam * (m_new / m_new.max()) ** params.backtrack.q
     grads = obj.gradient_many(pos)
-    h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f)
-    new_pos, new_m, new_f, _ = reference_merge(pos - h[:, None] * grads, m_new, f_step, params.tolmerge)
+    ladder = np.zeros(pos.shape[0], dtype=int)
+    h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, counts=ladder)
+    new_pos, new_m, new_f, merged = reference_merge(pos - h[:, None] * grads, m_new, f_step, params.tolmerge)
     j_min = int(np.argmin(new_f))
     residual = float(_row_norms(new_pos[j_min][None, :] - x_min_prev[None, :])[0])
-    return (new_pos, new_m, new_f), residual, h, evals
+    record = {
+        "eliminated": int(keep.size - np.count_nonzero(keep)),
+        "merged": merged,
+        "objective_evals": evals,
+        "gradient_evals": h.size,
+        "heights_before": f,
+        "grad_sq_norms": np.sum(grads * grads, axis=1),
+        "effective_descent": coeff,
+        "step_sizes": h,
+        "heights_after_step": f_step,
+        "positions": new_pos,
+        "masses": new_m,
+        "heights": new_f,
+        "residual": residual,
+        "ladder_evals": ladder,
+    }
+    return (new_pos, new_m, new_f), residual, h, evals, record
 
 
-def oracle_sbgd(obj, x0, params: SBGDParams) -> RunResult:
-    """The per-run swarm loop."""
+def oracle_sbgd(obj, x0, params: SBGDParams, history: list | None = None) -> RunResult:
+    """The per-run swarm loop; ``history``, if given, receives each step's record."""
     pos = np.array(x0, dtype=float, ndmin=2)
     n = pos.shape[0]
     state = (pos, np.full(n, 1.0 / n), obj.evaluate_many(pos))
@@ -85,7 +107,9 @@ def oracle_sbgd(obj, x0, params: SBGDParams) -> RunResult:
     stop = StopReason.MAX_ITERS
     iterations = 0
     for _ in range(params.max_iters):
-        state, residual, h, evals = _sbgd_step(*state, n, obj, params)
+        state, residual, h, evals, record = _sbgd_step(*state, n, obj, params)
+        if history is not None:
+            history.append(record)
         iterations += 1
         objective_evals += evals
         gradient_evals += h.size

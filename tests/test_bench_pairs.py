@@ -63,3 +63,33 @@ def test_summary_marks_each_ratio_over_its_bound():
     assert [line.rsplit("|", 2)[1].strip() for line in table[2:]] == [
         "**1.300 over bound**", "1.200", "**0.800 over bound**"]
 
+
+
+def _pairs(parent, change):
+    """Synthetic runs of one metric, ``wall_s``, one pair per entry of the two value lists."""
+    return [{"workload": "w", "pair": pair, "side": side,
+             "result": {"metrics": {"wall_s": {"value": value}}}}
+            for pair, values in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), values)]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    # 9/10 wins, median 0.85 against a parent median of 1.0 with q3 - q1 = 0.075.
+    ([0.85] * 9 + [1.5], "gain"),
+    # 8/10 wins with the same gap.
+    ([0.85] * 8 + [1.5, 1.5], "level"),
+    # 10/10 wins, but by less than the parent's quartile spread.
+    ([value - 0.01 for value in [0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1]], "level"),
+    # Worse than the bound in every pair.
+    ([1.5] * 10, "over bound"),
+])
+def test_verdict_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_spread(change, verdict):
+    bench_pairs = _bench_pairs()
+    parent = [0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1]
+    row = bench_pairs.summarize(_pairs(parent, change), [
+        {"name": "wall_s", "better": "lower", "bound": 0.25}])["w"]["wall_s"]
+    assert row["parent"]["q3"] - row["parent"]["q1"] == pytest.approx(0.075)
+    assert row["verdict"] == verdict
+    table = bench_pairs.summary_table({"w": {"wall_s": row}}).splitlines()
+    assert table[0].endswith("| verdict | change/parent |")
+    assert table[2].split("|")[-3].strip() == verdict

@@ -310,6 +310,51 @@ class TestBench:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("flag", ["--csv", "--hist"])
+    @pytest.mark.parametrize("target, problem", [
+        ("absent/x.csv", "no directory '{tmp}/absent'"),
+        ("kept.csv/x.csv", "no directory '{tmp}/kept.csv'"),
+        ("", "it is a directory"),
+        ("kept.csv", "permission denied"),
+        ("new.csv", "permission denied"),
+    ])
+    def test_unwritable_output_paths_are_refused_before_the_batch_runs(
+        self, capsys, tmp_path, monkeypatch, flag, target, problem
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", no_runs)
+        (tmp_path / "kept.csv").write_text("kept\n")
+        if "permission" in problem:
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+        path = str(tmp_path / target)
+        rc, out, err = _run(capsys, "bench", "--preset", "ackley1d-sbgd11-n20", "--m", "5",
+                            "--jobs", "1", flag, path)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: cannot write {flag} file {path!r}: {problem.format(tmp=tmp_path)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+        assert (tmp_path / "kept.csv").read_text() == "kept\n"
+
+    def test_an_empty_output_path_is_refused(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = _run(capsys, "bench", "--preset", "ackley1d-sbgd11-n20", "--m", "2",
+                            "--jobs", "1", "--hist", "")
+        assert (rc, out, err) == (2, "", "error: cannot write --hist file '': the path is empty\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_writable_output_path_passes_the_check(self, capsys, tmp_path, monkeypatch):
+        # An existing file is overwritten, and a bare name lands in the working directory.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.csv").write_text("old\n")
+        rc, out, _ = _run(capsys, "bench", "--preset", "ackley1d-sbgd11-n20", "--m", "2",
+                          "--jobs", "1", "--csv", "runs.csv", "--hist", "hist.csv")
+        assert rc == 0 and json.loads(out)["config"]["m"] == 2
+        assert (tmp_path / "runs.csv").read_text().startswith("run,seed,success")
+        assert (tmp_path / "hist.csv").read_text().startswith("bin_center,count")
+
+
 class TestSweep:
     def test_row_count_and_no_header(self, capsys):
         rc, out, _ = _run(

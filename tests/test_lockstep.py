@@ -6,12 +6,15 @@ other runs of the batch do: merge, lose agents, stall, diverge or run out
 of iterations.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from per_run_oracle import oracle_baseline, oracle_sbgd
+from per_run_oracle import _sbgd_step, oracle_baseline, oracle_sbgd
 
+from swarmdescent import swarm
 from swarmdescent.baselines import BaselineMethod, BaselineParams, run_baseline, run_baseline_batch
 from swarmdescent.harness import _MIN_BLOCK_RUNS, ExperimentConfig, run_experiment, sample_initial_positions
 from swarmdescent.linesearch import BacktrackParams
@@ -149,6 +152,110 @@ def test_eliminating_and_merging_runs_share_a_batch():
         _assert_same(got, oracle_sbgd(obj, x0, SBGDParams()))
     merged = run_sbgd(obj, cluster, SBGDParams(), keep_history=True).history
     assert sum(s.merged for s in merged) > 0
+
+
+def _assert_same_record(got, want):
+    """Each field of the oracle's record ``want`` equals ``got``'s attribute, bit for bit."""
+    for name, value in want.items():
+        value, mine = np.asarray(value), np.asarray(getattr(got, name))
+        assert mine.dtype.kind == value.dtype.kind and mine.shape == value.shape, name
+        if value.dtype.kind == "f":
+            value, mine = value.view(np.int64), mine.view(np.int64)
+        assert np.array_equal(mine, value), name
+
+
+@st.composite
+def _lone_batches(draw):
+    """Batches whose runs hold one agent from the start or come down to one, and random ladder parameters.
+
+    ``lone`` runs hold one agent each, as a basin sweep's do; ``collapsing``
+    runs start with 2-4 spread agents, which elimination and merging bring
+    down to one partway through; ``mixed`` batches hold both kinds, the lone
+    kind as 2-4 copies of one point, which merge into one agent in the first
+    step.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    obj = make_objective(draw(st.sampled_from(_OBJECTIVES_BY_DIM[d])), d)
+    shape = draw(st.sampled_from(["lone", "collapsing", "mixed"]))
+    n = 1 if shape == "lone" else draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if shape == "collapsing" or (shape == "mixed" and draw(st.booleans())):
+            runs.append(rng.uniform(-3.0, 3.0, (n, d)))
+        else:
+            runs.append(np.repeat(rng.uniform(-3.0, 3.0, (1, d)), n, axis=0))
+    backtrack = draw(st.builds(BacktrackParams, lam=st.floats(0.05, 0.9), gamma=st.floats(0.5, 0.95),
+                               h0=st.floats(0.1, 4.0), q=st.floats(0.5, 3.0)))
+    params = draw(st.builds(SBGDParams, p=st.floats(0.5, 3.0), backtrack=st.just(backtrack),
+                            tolm=st.sampled_from([1e-4, 1e-2, 0.3]),
+                            tolmerge=st.sampled_from([1e-3, 0.5]), max_iters=st.integers(1, 40)))
+    return obj, np.stack(runs), params
+
+
+@settings(deadline=None, max_examples=60)
+@given(_lone_batches())
+def test_lone_agents_step_as_the_per_run_loop(case):
+    obj, starts, params = case
+    batch = run_sbgd_batch(obj, starts, params)
+    for x0, got in zip(starts, batch):
+        want_history = []
+        _assert_same(got, oracle_sbgd(obj, x0, params, want_history))
+        alone = run_sbgd(obj, x0, params, keep_history=True)
+        _assert_same(alone, got)
+        assert len(alone.history) == len(want_history)
+        for record, want in zip(alone.history, want_history):
+            _assert_same_record(record, want)
+
+
+@pytest.mark.parametrize("dimension, objective", [(1, "rastrigin1d"), (2, "ackley")])
+def test_lone_agents_keep_their_masses(dimension, objective):
+    # Lone agents whose masses are not 1 (a collapsed run holds its total
+    # mass, conserved only to rounding) carry them over unchanged, and each
+    # agent's row of the step's record is its per-run step's record.
+    obj = make_objective(objective, dimension)
+    params = SBGDParams(tolm=0.3, backtrack=BacktrackParams(q=2.5))
+    pos = np.random.default_rng(11).uniform(-3.0, 3.0, (5, dimension))
+    masses = np.array([1.0 - 2.0**-52, 0.37, 1.0 + 2.0**-52, 2.5e-3, 1.0 / 3.0])
+    state = swarm._Swarm(pos, masses, obj.evaluate_many(pos), np.array([0, 2, 3, 7, 8]))
+    new, residual, stats = swarm.sbgd_iteration(state, obj, params, 4)
+    assert new.masses.view(np.int64).tolist() == masses.view(np.int64).tolist()
+    assert (stats.eliminated, stats.merged, stats.gradient_evals) == (0, 0, 5)
+    assert stats.objective_evals == stats.ladder_evals.sum()
+    scalars = {"eliminated", "merged", "objective_evals", "gradient_evals"}
+    for k in range(5):
+        *_, want = _sbgd_step(pos[k:k + 1], masses[k:k + 1], state.heights[k:k + 1], 4, obj, params)
+        want = {name: np.atleast_1d(value) for name, value in want.items() if name not in scalars}
+        _assert_same_record(SimpleNamespace(**{name: getattr(stats, name)[k:k + 1] for name in want}), want)
+
+
+def test_lone_agents_skip_the_communication_phases(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a batch of lone agents computed relative heights or moved mass")
+
+    monkeypatch.setattr(swarm, "relative_heights", unexpected)
+    monkeypatch.setattr(swarm, "transfer_mass", unexpected)
+    obj = make_objective("ackley1d")
+    starts = np.random.default_rng(2).uniform(-3.0, 3.0, (5, 1, 1))
+    for x0, got in zip(starts, run_sbgd_batch(obj, starts, SBGDParams())):
+        _assert_same(got, oracle_sbgd(obj, x0, SBGDParams()))
+    with pytest.raises(AssertionError, match="relative heights"):
+        run_sbgd_batch(obj, np.concatenate([starts, starts], axis=1), SBGDParams())
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_an_overflowing_lone_agent_fails_as_the_per_run_loop(n):
+    # From (1e200, 1e200) the height overflows to inf, which the lone step
+    # leaves to the full path: its relative height comes out NaN there.
+    obj = make_objective("rosenbrock2d")
+    x0 = np.repeat([[1e200, 1e200]], n, axis=0)
+    params = SBGDParams(max_iters=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as want:
+            oracle_sbgd(obj, x0, params)
+        with pytest.raises(ValueError) as got:
+            run_sbgd(obj, x0, params)
+    assert str(got.value) == str(want.value) == "the minimizer must have relative height 0, got nan"
 
 
 # Enough runs for each of the jobs to get a block of its own, one with an uneven split.

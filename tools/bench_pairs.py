@@ -21,6 +21,10 @@ the change won (ties count for neither side), the ratio of the change's
 median to the parent's, and whether that ratio is worse than the metric's
 ``bound`` in ``BENCHMARK.json`` allows (``over_bound``): above ``1 + bound``
 for a metric where lower is better, below ``1 - bound`` where higher is.
+Each row also gets a ``verdict``: ``gain`` when the change won at least
+9/10 of the pairs and its median is better than the parent's by more than
+the parent's quartile spread ``q3 - q1``, ``over bound`` when the ratio is
+over its bound, and ``level`` otherwise.
 The same summary is then printed as a markdown table, with each ratio over
 its bound marked.  The exit code is 1 if any run failed, was not
 ``correct`` or had failed operations, else 0.
@@ -128,6 +132,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             ratio = row["change"]["median"] / base if base else None
             row["ratio"] = ratio
             row["over_bound"] = ratio is not None and (ratio - 1.0 if lower else 1.0 - ratio) > metric["bound"]
+            parent, change = row["parent"], row["change"]
+            gap = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+            if 10 * wins >= 9 * row["pairs"] and gap > parent["q3"] - parent["q1"]:
+                row["verdict"] = "gain"
+            else:
+                row["verdict"] = "over bound" if row["over_bound"] else "level"
             rows[name] = row
         summary[workload] = rows
     return summary
@@ -144,12 +154,13 @@ def summary_table(summary: dict) -> str:
         return f"**{row['ratio']:.3f} over bound**" if row["over_bound"] else f"{row['ratio']:.3f}"
 
     lines = ["| workload | metric | parent median [q1, q3] | change median [q1, q3] | change wins "
-             "| change/parent |",
-             "| --- | --- | --- | --- | --- | --- |"]
+             "| verdict | change/parent |",
+             "| --- | --- | --- | --- | --- | --- | --- |"]
     for workload, rows in summary.items():
         for metric, row in rows.items():
             lines.append(f"| `{workload}` | `{metric}` | {cell(row['parent'])} | "
-                         f"{cell(row['change'])} | {row['change_wins']}/{row['pairs']} | {ratio(row)} |")
+                         f"{cell(row['change'])} | {row['change_wins']}/{row['pairs']} | {row['verdict']} | "
+                         f"{ratio(row)} |")
     return "\n".join(lines)
 
 

@@ -20,7 +20,9 @@ directory, whose path reads ``TMP`` in the captured text:
 * the usage and configuration errors (exit code 2): unknown, mistyped and
   missing keys, objectives, presets and methods, malformed init boxes,
   out-of-range parameters, each float key set to ``nan``, ``inf`` and
-  ``-inf`` by flag, a 2-D sweep and a malformed seed variable.
+  ``-inf`` by flag, a 2-D sweep, a malformed seed variable, and ``--csv``
+  and ``--hist`` paths in a missing directory, under a file or naming a
+  directory.
 
 With ``--against OLD_DIR``, the new capture is then compared byte for byte
 with an earlier one, for example of the parent of a change that must not
@@ -91,6 +93,10 @@ ERRORS = {
     "seed-env": ["run", *QUAD1],
     **{f"non-finite-{key}-{value}": ["bench", *SMALL_GDBT, f"--{key}={value}"]
        for key in FLOAT_KEYS for value in ("nan", "inf", "-inf")},
+    **{f"{flag}-{name}": ["bench", *SMALL_GDBT, f"--{flag}", path]
+       for flag in ("csv", "hist")
+       for name, path in (("no-directory", f"{TMP}/absent/out.csv"),
+                          ("under-file", f"{TMP}/not-json.json/out.csv"), ("directory", TMP))},
 }
 ERROR_ENV = {"seed-env": {SEED_ENV_VAR: "many"}}
 
