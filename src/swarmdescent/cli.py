@@ -187,6 +187,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for flag, path in (("--csv", args.csv), ("--hist", args.hist)):
         if path is not None:
             _check_output_path(flag, path)
+    if None not in (args.csv, args.hist) and os.path.realpath(args.csv) == os.path.realpath(args.hist):
+        raise ConfigError(f"--csv and --hist name the same file {args.hist!r}")
     report = run_experiment(cfg, jobs=args.jobs)
     if args.csv is not None:
         write_report_csv(report, args.csv)

@@ -257,7 +257,7 @@ def precondition_and_correct(
     if obj is None:
         obj = report.config.objective
     if params is None:
-        params = getattr(report.config.method, "backtrack", None) or BacktrackParams()
+        params = report.config.method.backtrack
     # One agent, as a one-row batch.
     x = np.array(report.mean_solution, dtype=float, ndmin=2)
     f = obj.evaluate_many(x)
@@ -284,12 +284,14 @@ def precondition_and_correct(
 def histogram_coord(d: int, bin_width: float, coord: int | None) -> int:
     """The coordinate :func:`solution_histogram` bins for ``d``-dimensional solutions.
 
-    Raises ``ValueError`` for a non-positive ``bin_width``, an omitted
-    ``coord`` with ``d != 1``, or a ``coord`` outside ``[0, d)``, so the
-    options can be checked before any run.
+    Raises ``ValueError`` for a ``bin_width`` that is not positive and
+    finite, an omitted ``coord`` with ``d != 1``, or a ``coord`` outside
+    ``[0, d)``, so the options can be checked before any run.
     """
     if not bin_width > 0.0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if bin_width == np.inf:
+        raise ValueError(f"bin_width must be finite, got {bin_width}")
     if coord is None:
         if d != 1:
             raise ValueError(f"solutions are {d}-dimensional; pass an explicit coord")

@@ -82,6 +82,11 @@ class ObjectiveKind(Enum):
 OBJECTIVE_NAMES = tuple(kind.value for kind in ObjectiveKind)
 
 
+# numpy's sum adds fewer than this many values one at a time onto +0.0; from
+# this many on it sums pairwise, in an order only its own reduction follows.
+_SEQUENTIAL_SUM = 8
+
+
 def _row_sum(a: np.ndarray, *, no_negative_zero: bool = False) -> np.ndarray:
     """``np.sum(a, axis=1)`` bit for bit, without the reduction machinery on narrow rows.
 
@@ -95,7 +100,7 @@ def _row_sum(a: np.ndarray, *, no_negative_zero: bool = False) -> np.ndarray:
     a[:, 0]`` is ``a[:, 0]`` itself, NaNs included, so the sum starts from
     the first two columns and saves a pass.
     """
-    if a.shape[1] >= 8 or a.shape[0] == 1:
+    if a.shape[1] >= _SEQUENTIAL_SUM or a.shape[0] == 1:
         return np.add.reduce(a, axis=1)
     if no_negative_zero and a.shape[1] > 1:
         total = a[:, 0] + a[:, 1]

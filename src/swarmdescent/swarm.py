@@ -29,12 +29,8 @@ operations as for a lone run, so each run's result does not depend on
 which runs share its batch.  The baselines step their runs
 through the same run loop.
 
-A run of one agent has no one to communicate with: it is its own
-minimizer, its relative height is 0, it keeps its mass and its relative
-mass is 1.  So when every live run holds one agent, as in a basin sweep or
-once a swarm has collapsed, an iteration skips phases 1, 2 and 4 and steps
-as GD(BT) does, with coefficient ``lam``.  Each skipped phase would return
-its input bit for bit, so the step and its record are the full iteration's.
+A step in which every run holds one agent skips the communication phases
+1, 2 and 4; :func:`sbgd_iteration` says why that changes no result.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linesearch import BacktrackParams, backtrack_batch
-from .objectives import Objective
+from .objectives import _SEQUENTIAL_SUM, Objective
 
 __all__ = [
     "IterationStats",
@@ -102,9 +98,6 @@ def _run_argmin(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return hits[hits.searchsorted(starts)]
 
 
-# numpy's sum adds fewer than this many values one at a time onto +0.0; from
-# this many on it sums pairwise, in an order only its own reduction follows.
-_SEQUENTIAL_SUM = 8
 _LANES = np.arange(_SEQUENTIAL_SUM - 1)[:, None]
 # Runs from which one gathered sum beats a ``.sum()`` call per run.  On a
 # 2-vCPU VM (numpy 2.4) the loop costs about 2 us plus 1.1 us per run and the
@@ -271,7 +264,7 @@ def transfer_mass(masses: np.ndarray, eta: np.ndarray, p: float, i_min: np.ndarr
     agents.
     """
     if (eta[i_min] != 0.0).any():
-        raise ValueError(f"the minimizer must have relative height 0, got {eta[i_min][eta[i_min] != 0.0][0]}")
+        raise RuntimeError(f"the minimizer must have relative height 0, got {eta[i_min][eta[i_min] != 0.0][0]}")
     out = masses * (1.0 - eta**p)
     others = np.ones(masses.size, dtype=bool)
     others[i_min] = False
@@ -378,68 +371,78 @@ def _merge_agents(
 def sbgd_iteration(
     swarm: _Swarm, obj: Objective, params: SBGDParams, initial_count: int
 ) -> tuple[_Swarm, np.ndarray, IterationStats]:
-    """Advance every run of the swarm by one full iteration.
+    """Advance every run of the swarm by one iteration.
 
     ``initial_count`` is the agent count each run started with.  Returns the
     new swarm, the residual (per run, in label order, the Euclidean distance
     between the new and previous minimizer positions), and an
     :class:`IterationStats` record.
 
-    When every run holds one agent and every height is finite, the step is
-    GD(BT)'s: the communication phases are skipped, since each would return
-    its input bit for bit.  A lone agent is its run's minimizer, so it is
-    never eliminated; its relative height is ``0 / eps_eta = 0``, so it
-    sheds no mass and its new mass is ``total - 0.0``, its own; its relative
-    mass is 1, so its coefficient is ``lam * 1.0**q``; and it has no one to
-    merge with.  The record holds the values the full path computes.  A
-    non-finite height takes the full path, whose relative heights turn NaN.
+    A run of one agent has no one to communicate with, so when every run
+    holds one agent and every height is finite (a basin sweep, or swarms
+    that have collapsed) the step is GD(BT)'s and phases 1, 2 and 4 are
+    skipped: each would return its input bit for bit.  A lone agent is its
+    run's minimizer, so it is never eliminated; its relative height is
+    ``0 / eps_eta = 0``, so it sheds no mass and its new mass is ``total -
+    0.0``, its own; its relative mass is 1, so its coefficient is ``lam *
+    1.0**q``; and it has no one to merge with.  The record holds the values
+    the full step computes.  A non-finite height takes the full step, whose
+    relative heights turn NaN.
     """
     pos, m, f, runs = swarm
-    if not (runs[1:] == runs[:-1]).any() and np.isfinite(f).all():
-        return _lone_iteration(swarm, obj, params)
-    bounds = _layout(runs)
-    total = _run_sums(m, bounds)
-    i_min = _run_argmin(f, bounds)
-    x_min_prev = pos.take(i_min, axis=0)
+    lone = not (runs[1:] == runs[:-1]).any() and np.isfinite(f).all()
+    eliminated = merged_away = 0
+    if lone:
+        m_new, x_min_prev = m, pos
+        coeff = params.backtrack.lam * 1.0**params.backtrack.q
+    else:
+        bounds = _layout(runs)
+        total = _run_sums(m, bounds)
+        i_min = _run_argmin(f, bounds)
+        x_min_prev = pos.take(i_min, axis=0)
 
-    # (1) drop agents whose mass fell below tolm/N0; their mass rejoins the
-    # pool via `total` and lands on the minimizer in the transition below.
-    keep = m >= params.tolm / initial_count
-    keep[i_min] = True
-    eliminated = int(keep.size - np.count_nonzero(keep))
-    if eliminated:
-        bounds, seen = _kept_layout(keep, bounds)
-        i_min = seen[i_min] - 1
-        pos, m, f, runs = (a.compress(keep, axis=0) for a in (pos, m, f, runs))
+        # (1) drop agents whose mass fell below tolm/N0; their mass rejoins the
+        # pool via `total` and lands on the minimizer in the transition below.
+        keep = m >= params.tolm / initial_count
+        keep[i_min] = True
+        eliminated = int(keep.size - np.count_nonzero(keep))
+        if eliminated:
+            bounds, seen = _kept_layout(keep, bounds)
+            i_min = seen[i_min] - 1
+            pos, m, f, runs = (a.compress(keep, axis=0) for a in (pos, m, f, runs))
 
-    # (2) mass transition driven by relative heights, run by run.
-    eta = relative_heights(f, params.eps_eta, bounds)
-    m_new = transfer_mass(m, eta, params.p, i_min, total, bounds)
+        # (2) mass transition driven by relative heights, run by run, and
+        # the step coefficients it leaves.
+        eta = relative_heights(f, params.eps_eta, bounds)
+        m_new = transfer_mass(m, eta, params.p, i_min, total, bounds)
+        starts = bounds[:-1]
+        m_rel = m_new / np.maximum.reduceat(m_new, starts).repeat(bounds[1:] - starts)
+        coeff = params.backtrack.lam * m_rel**params.backtrack.q
 
     # (3) mass-weighted backtracking step for every agent of every run.
-    starts = bounds[:-1]
-    m_rel = m_new / np.maximum.reduceat(m_new, starts).repeat(bounds[1:] - starts)
-    coeff = params.backtrack.lam * m_rel**params.backtrack.q
     grads = obj.gradient_many(pos)
     g_sq = np.add.reduce(grads * grads, axis=1)
     ladder = np.zeros(pos.shape[0], dtype=int)
     h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, counts=ladder)
     new_pos = pos - h[:, None] * grads
 
-    # (4) merge agents of one run that landed on top of each other; only a
-    # run with two agents or more can have any.
-    merged_pos, merged_m, merged_f, merged_away, kept = new_pos, m_new, f_step, 0, None
-    if runs.size > bounds.size - 1:
-        merged_pos, merged_m, merged_f, merged_away, kept = _merge_agents(
-            new_pos, m_new, f_step, params.tolmerge, runs
-        )
-    merged_runs = runs
-    if merged_away:
-        bounds = _kept_layout(kept, bounds)[0]
-        merged_runs = runs[kept]
-
-    j_min = _run_argmin(merged_f, bounds)
-    residual = _row_norms(merged_pos.take(j_min, axis=0) - x_min_prev)
+    merged_pos, merged_m, merged_f, merged_runs = new_pos, m_new, f_step, runs
+    if lone:
+        x_min = new_pos
+        # The ladder took one coefficient for all; the record holds one per agent.
+        coeff = np.full(pos.shape[0], coeff)
+    else:
+        # (4) merge agents of one run that landed on top of each other; only a
+        # run with two agents or more can have any.
+        if runs.size > bounds.size - 1:
+            merged_pos, merged_m, merged_f, merged_away, kept = _merge_agents(
+                new_pos, m_new, f_step, params.tolmerge, runs
+            )
+        if merged_away:
+            bounds = _kept_layout(kept, bounds)[0]
+            merged_runs = runs[kept]
+        x_min = merged_pos.take(_run_argmin(merged_f, bounds), axis=0)
+    residual = _row_norms(x_min - x_min_prev)
     stats = IterationStats(
         eliminated=eliminated,
         merged=merged_away,
@@ -458,37 +461,6 @@ def sbgd_iteration(
         ladder_evals=ladder,
     )
     return _Swarm(merged_pos, merged_m, merged_f, merged_runs), residual, stats
-
-
-def _lone_iteration(
-    swarm: _Swarm, obj: Objective, params: SBGDParams
-) -> tuple[_Swarm, np.ndarray, IterationStats]:
-    """:func:`sbgd_iteration` for a swarm whose every run holds one agent of finite height."""
-    pos, m, f, runs = swarm
-    coeff = params.backtrack.lam * 1.0**params.backtrack.q
-    grads = obj.gradient_many(pos)
-    ladder = np.zeros(pos.shape[0], dtype=int)
-    h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, counts=ladder)
-    new_pos = pos - h[:, None] * grads
-    residual = _row_norms(new_pos - pos)
-    stats = IterationStats(
-        eliminated=0,
-        merged=0,
-        objective_evals=evals,
-        gradient_evals=pos.shape[0],
-        heights_before=f,
-        grad_sq_norms=np.add.reduce(grads * grads, axis=1),
-        effective_descent=np.full(pos.shape[0], coeff),
-        step_sizes=h,
-        heights_after_step=f_step,
-        positions=new_pos,
-        masses=m,
-        heights=f_step,
-        residual=residual,
-        runs=runs,
-        ladder_evals=ladder,
-    )
-    return _Swarm(new_pos, m, f_step, runs), residual, stats
 
 
 def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) -> list[RunResult]:

@@ -67,7 +67,7 @@ def _sbgd_step(pos, m, f, n0, obj, params):
         i_min = int(np.count_nonzero(keep[:i_min]))
     eta = (f - f.min()) / (f.max() - f.min() + params.eps_eta)
     if eta[i_min] != 0.0:
-        raise ValueError(f"the minimizer must have relative height 0, got {eta[i_min]}")
+        raise RuntimeError(f"the minimizer must have relative height 0, got {eta[i_min]}")
     m_new = m * (1.0 - eta**params.p)
     others = np.ones(m.size, dtype=bool)
     others[i_min] = False

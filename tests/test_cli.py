@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from swarmdescent import cli
@@ -199,6 +200,17 @@ class TestNonFiniteValues:
         assert (rc, out) == (2, "")
         assert "key 'init_box' must be finite" in err
 
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_overflowing_start_heights_are_a_runtime_failure(self, capsys, n):
+        # The box is finite, but rosenbrock2d overflows to inf there: the swarm
+        # then breaks an invariant of its own, which is no configuration error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, out, err = _run(capsys, "bench", "--objective", "rosenbrock2d", "--method", "sbgd",
+                                "--n", n, "--m", "1", "--seed", "1", "--jobs", "1",
+                                "--init-box=1e200,2e200")
+        assert (rc, out) == (3, "")
+        assert err.endswith("runtime failure: the minimizer must have relative height 0, got nan\n")
+
 
 class TestPresets:
     def test_all_presets_load_cleanly(self):
@@ -291,6 +303,7 @@ class TestBench:
         (["--hist-coord", "2"], "coord 2 out of range for dimension 2"),
         (["--hist-coord", "-1"], "coord -1 out of range for dimension 2"),
         (["--hist-coord", "0", "--hist-bin-width", "0"], "bin_width must be positive, got 0.0"),
+        (["--hist-coord", "0", "--hist-bin-width", "inf"], "bin_width must be finite, got inf"),
     ])
     def test_histogram_options_are_checked_before_the_batch_runs(
         self, capsys, tmp_path, monkeypatch, flags, message
@@ -336,6 +349,25 @@ class TestBench:
         assert err == f"error: cannot write {flag} file {path!r}: {problem.format(tmp=tmp_path)}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
         assert (tmp_path / "kept.csv").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("hist", ["out.csv", "./sub/../out.csv", "{tmp}/out.csv", "link.csv"])
+    def test_csv_and_histogram_on_one_file_are_refused_before_the_batch_runs(
+        self, capsys, tmp_path, monkeypatch, hist
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", no_runs)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "out.csv").write_text("kept\n")
+        (tmp_path / "link.csv").symlink_to(tmp_path / "out.csv")
+        hist = hist.format(tmp=tmp_path)
+        rc, out, err = _run(capsys, "bench", "--preset", "ackley1d-sbgd11-n20", "--m", "2",
+                            "--jobs", "1", "--csv", "out.csv", "--hist", hist)
+        assert (rc, out, err) == (2, "", f"error: --csv and --hist name the same file {hist!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "out.csv", "sub"]
+        assert (tmp_path / "out.csv").read_text() == "kept\n"
 
     def test_an_empty_output_path_is_refused(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -245,15 +245,15 @@ def test_lone_agents_skip_the_communication_phases(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_an_overflowing_lone_agent_fails_as_the_per_run_loop(n):
-    # From (1e200, 1e200) the height overflows to inf, which the lone step
-    # leaves to the full path: its relative height comes out NaN there.
+    # From (1e200, 1e200) the height overflows to inf, which the step's lone
+    # branch leaves to the full step: its relative height comes out NaN there.
     obj = make_objective("rosenbrock2d")
     x0 = np.repeat([[1e200, 1e200]], n, axis=0)
     params = SBGDParams(max_iters=5)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError) as want:
+        with pytest.raises(RuntimeError) as want:
             oracle_sbgd(obj, x0, params)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(RuntimeError) as got:
             run_sbgd(obj, x0, params)
     assert str(got.value) == str(want.value) == "the minimizer must have relative height 0, got nan"
 

@@ -114,7 +114,7 @@ class TestTransferMass:
             assert np.all(out >= 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="relative height 0"):
+        with pytest.raises(RuntimeError, match="relative height 0"):
             _transfer([0.5, 0.5], [0.1, 0.9], 1.0, 0)
 
 

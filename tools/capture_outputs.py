@@ -20,9 +20,10 @@ directory, whose path reads ``TMP`` in the captured text:
 * the usage and configuration errors (exit code 2): unknown, mistyped and
   missing keys, objectives, presets and methods, malformed init boxes,
   out-of-range parameters, each float key set to ``nan``, ``inf`` and
-  ``-inf`` by flag, a 2-D sweep, a malformed seed variable, and ``--csv``
-  and ``--hist`` paths in a missing directory, under a file or naming a
-  directory.
+  ``-inf`` by flag, a 2-D sweep, a malformed seed variable, ``--csv`` and
+  ``--hist`` paths in a missing directory, under a file or naming a
+  directory, ``--csv`` and ``--hist`` naming one file, and an infinite
+  ``--hist-bin-width``.
 
 With ``--against OLD_DIR``, the new capture is then compared byte for byte
 with an earlier one, for example of the parent of a change that must not
@@ -97,6 +98,8 @@ ERRORS = {
        for flag in ("csv", "hist")
        for name, path in (("no-directory", f"{TMP}/absent/out.csv"),
                           ("under-file", f"{TMP}/not-json.json/out.csv"), ("directory", TMP))},
+    "csv-hist-same-file": ["bench", *SMALL_GDBT, "--csv", f"{TMP}/out.csv", "--hist", "out.csv"],
+    "hist-bin-width-inf": ["bench", *SMALL_GDBT, "--hist", f"{TMP}/h.csv", "--hist-bin-width", "inf"],
 }
 ERROR_ENV = {"seed-env": {SEED_ENV_VAR: "many"}}
 
