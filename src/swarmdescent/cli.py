@@ -205,6 +205,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     doc = _merge_config(args)
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
+    # A NaN or infinite end makes the span NaN or infinite too.
+    if not math.isfinite(args.stop - args.start):
+        raise ConfigError(f"--from and --to must be finite, with a finite span between them, "
+                          f"got --from={args.start!r} --to={args.stop!r}")
     grid = np.linspace(args.start, args.stop, args.steps)
     for x0, x_final in basin_sweep(objective_from_dict(doc), method_from_dict(doc), grid):
         print(f"{x0!r},{x_final!r}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -103,6 +104,9 @@ class ExperimentConfig:
         d = self.objective.dimension
         lo = self._as_bound(self.init_lo, d)
         hi = self._as_bound(self.init_hi, d)
+        # A NaN or infinite bound makes its width NaN or infinite too.
+        if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
+            raise ValueError(f"init box must have finite bounds and a finite width hi - lo, got {lo} and {hi}")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ValueError(f"init box must satisfy lo < hi componentwise, got {lo} and {hi}")
         object.__setattr__(self, "init_lo", lo)

@@ -277,21 +277,23 @@ def transfer_mass(masses: np.ndarray, eta: np.ndarray, p: float, i_min: np.ndarr
 _UNDERFLOW_GAP = float(np.sqrt(np.finfo(float).tiny))
 
 
-def _close_agents(positions: np.ndarray, runs: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of agents closer than ``tol`` to another agent of their run, one per close pair.
+def _close_pairs(positions: np.ndarray, runs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``i < j`` of agents of one run closer than ``tol``, as an array of ``i`` and one of ``j``.
 
-    Agents are sorted by run and then by first coordinate, and each is
+    The pairs come in ``(i, j)`` order.  Agents are sorted by run and then by first coordinate, and each is
     compared with the following agents of its run while the first-coordinate
     gap stays below ``tol``: two agents closer than ``tol`` are never
-    further apart than that in one coordinate.  The gap window does not
-    shrink below the scale at which squared differences underflow, where a
-    norm can read smaller than one of its coordinates.
+    further apart than that in one coordinate.  The gap window keeps a
+    margin against rounding in the distances, and it does not shrink below
+    the scale at which squared differences underflow, where a norm can read
+    smaller than one of its coordinates.
     """
-    window = max(tol, _UNDERFLOW_GAP)
+    window = max(tol * (1.0 + 1e-9), _UNDERFLOW_GAP)
     x0 = positions[:, 0]
     order = np.lexsort((x0, runs))
     x0, runs, pos = x0[order], runs[order], positions.take(order, axis=0)
-    close = [np.zeros(0, dtype=int)]
+    # Each pair as the number i n + j, so that one sort puts them in (i, j) order.
+    keys = [np.zeros(0, dtype=int)]
     lead = np.arange(x0.size - 1)
     gap = 1
     while lead.size:
@@ -300,37 +302,13 @@ def _close_agents(positions: np.ndarray, runs: np.ndarray, tol: float) -> np.nda
         if not lead.size:
             break
         dist = _row_norms(pos.take(lead + gap, axis=0) - pos.take(lead, axis=0))
-        close.append(order[lead[dist < tol]])
+        hit = lead[dist < tol]
+        if hit.size:
+            a, b = order[hit], order[hit + gap]
+            keys.append(np.minimum(a, b) * x0.size + np.maximum(a, b))
         gap += 1
         lead = lead[lead + gap < x0.size]
-    return np.concatenate(close)
-
-
-def _greedy_clusters(positions, masses, heights, tol):
-    """Leaders and summed masses of the greedy clusters of one run; ``None`` if nothing merges."""
-    n = masses.size
-    cluster = np.full(n, -1, dtype=int)
-    n_clusters = 0
-    for i in range(n):
-        if cluster[i] >= 0:
-            continue
-        cluster[i] = n_clusters
-        free = cluster < 0
-        if free.any():
-            dist = np.linalg.norm(positions[free] - positions[i], axis=1)
-            members = np.nonzero(free)[0][dist < tol]
-            cluster[members] = n_clusters
-        n_clusters += 1
-    if n_clusters == n:
-        return None
-    keep_idx = np.empty(n_clusters, dtype=int)
-    merged_mass = np.empty(n_clusters)
-    for k in range(n_clusters):
-        idx = np.nonzero(cluster == k)[0]
-        keep_idx[k] = idx[np.argmin(heights[idx])]
-        merged_mass[k] = masses[idx].sum()
-    order = np.argsort(keep_idx)
-    return keep_idx[order], merged_mass[order]
+    return np.divmod(np.sort(np.concatenate(keys)), x0.size)
 
 
 def _merge_agents(
@@ -338,32 +316,39 @@ def _merge_agents(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray | None]:
     """Greedily cluster agents within ``tol`` of a leader and merge each cluster, run by run.
 
-    Clusters grow around leaders in agent order; each cluster keeps the
-    position and height of its lowest member (ties: lowest index) and sums
-    the masses.  Surviving agents keep their original relative order.
-    Returns the merged positions, masses and heights, the number of agents
-    merged away, and the mask of agents kept (``None`` when none merged).
+    Clusters grow around leaders in agent order: an agent no cluster holds
+    leads one and takes every free agent of its run within ``tol``.  Each
+    cluster keeps the position and height of its lowest member (ties:
+    lowest index) and sums the masses.  Surviving agents keep their
+    original relative order.  Returns the merged positions, masses and
+    heights, the number of agents merged away, and the mask of agents kept
+    (``None`` when none merged).
     """
     n = masses.size
-    keep = None
-    # Merges are rare: the greedy loop runs only for the runs a vectorised
-    # check flags.  The margin keeps that check conservative against
-    # rounding in the loop's distances.
-    close = _close_agents(positions, runs, tol * (1.0 + 1e-9))
-    for run in np.unique(runs[close]).tolist() if close.size else ():
-        lo, hi = np.searchsorted(runs, [run, run + 1]).tolist()
-        clusters = _greedy_clusters(positions[lo:hi], masses[lo:hi], heights[lo:hi], tol)
-        if clusters is None:
-            continue
-        if keep is None:
-            keep = np.ones(n, dtype=bool)
-            masses = masses.copy()
-        leaders, cluster_mass = clusters
-        keep[lo:hi] = False
-        keep[lo + leaders] = True
-        masses[lo + leaders] = cluster_mass
-    if keep is None:
+    first, second = _close_pairs(positions, runs, tol)
+    if not first.size:
         return positions, masses, heights, 0, None
+    # Agent i's partners are second[starts[i]:ends[i]], in index order.
+    counts = np.bincount(first, minlength=n)
+    ends = counts.cumsum()
+    starts, ends = (ends - counts).tolist(), ends.tolist()
+    taken = np.zeros(n, dtype=bool)
+    keep = np.ones(n, dtype=bool)
+    masses = masses.copy()
+    # The lowest leader is free, so at least one cluster merges.
+    for i in np.flatnonzero(counts).tolist():
+        if taken[i]:
+            continue
+        partners = second[starts[i]:ends[i]]
+        free = partners[~taken[partners]]
+        if not free.size:
+            continue
+        taken[free] = True
+        members = np.concatenate(([i], free))
+        keep[members] = False
+        lowest = members[np.argmin(heights[members])]
+        keep[lowest] = True
+        masses[lowest] = masses[members].sum()
     positions, masses, heights = (a.compress(keep, axis=0) for a in (positions, masses, heights))
     return positions, masses, heights, n - int(np.count_nonzero(keep)), keep
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,24 @@ class TestNonFiniteValues:
         rc, out, err = _run(capsys, "run", "--objective", "ackley1d", box)
         assert (rc, out) == (2, "")
         assert "key 'init_box' must be finite" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_init_box_of_infinite_width_is_a_config_error(self, capsys, tmp_path, source):
+        # Bounds whose width overflows, by flag, and an infinite bound inside
+        # a per-coordinate list, which JSON files may spell -Infinity.
+        argv = ["bench", "--objective", "ackley", "--d", "2", "--method", "gdbt", "--n", "3", "--m", "2",
+                "--jobs", "1"]
+        if source == "flag":
+            argv.append("--init-box=-1e308,1e308")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"init_box": [[-Infinity, 0], [1, 2]]}')
+            argv += ["--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: init box must have finite bounds and a finite width hi - lo")
 
     @pytest.mark.parametrize("n", ["1", "3"])
     def test_overflowing_start_heights_are_a_runtime_failure(self, capsys, n):
@@ -408,6 +427,15 @@ class TestSweep:
         )
         assert rc == 2
         assert "steps" in err
+
+    @pytest.mark.parametrize("grid", [("--from=nan", "--to=3"), ("--from=-3", "--to=inf"),
+                                      ("--from=-1e308", "--to=1e308")])
+    def test_non_finite_grid_is_a_usage_error(self, capsys, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run(capsys, "sweep", "--objective", "ackley1d", *grid, "--steps", "5")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: --from and --to must be finite")
 
     def test_missing_grid_flags_are_usage_errors(self):
         with pytest.raises(SystemExit) as exc:

@@ -198,6 +198,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             _quad_config(method="sbgd")
 
+    @pytest.mark.parametrize("lo, hi", [
+        (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan),
+        (-1e308, 1e308),  # finite bounds whose width overflows
+        ((-np.inf, 0.0), (1.0, 2.0)), ((0.0, -1e308), (1.0, 1e308)),
+    ])
+    def test_init_box_must_be_finite_and_of_finite_width(self, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="init box must have finite bounds and a finite width"):
+                _quad_config(init_lo=lo, init_hi=hi)
+
 
 class TestCorrection:
     def test_already_converged_mean(self):

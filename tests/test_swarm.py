@@ -292,9 +292,15 @@ class TestValidation:
         assert params.q == 2.0
 
 
-def _merge_inputs(kind, seed):
+_MERGE_KINDS = ["clustered", "random", "boundary", "underflow", "nan", "inf"]
+_MERGE_TOLS = [0.0, 1e-200, 1e-3, 0.5, np.inf]
+
+
+def _merge_inputs(kind, seed, d=None):
+    """Positions, masses and heights of one run; ``d``, if given, overrides the drawn dimension."""
     rng = np.random.default_rng(seed)
-    n, d = int(rng.integers(1, 120)), int(rng.choice([1, 2, 20]))
+    n, drawn = int(rng.integers(1, 120)), int(rng.choice([1, 2, 20]))
+    d = drawn if d is None else d
     if kind == "clustered":
         centers = rng.uniform(-3.0, 3.0, (3, d))
         pos = centers[rng.integers(0, 3, n)] + rng.normal(0.0, 1e-3, (n, d))
@@ -318,8 +324,8 @@ def _merge_inputs(kind, seed):
     return pos, masses, heights
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-200, 1e-3, 0.5, np.inf])
-@pytest.mark.parametrize("kind", ["clustered", "random", "boundary", "underflow", "nan", "inf"])
+@pytest.mark.parametrize("tol", _MERGE_TOLS)
+@pytest.mark.parametrize("kind", _MERGE_KINDS)
 def test_merge_matches_greedy_loop(kind, tol):
     for seed in range(20):
         pos, masses, heights = _merge_inputs(kind, seed)
@@ -329,6 +335,39 @@ def test_merge_matches_greedy_loop(kind, tol):
         assert got[3] == want[3]
         for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([1, 2, 20]),
+    st.lists(st.tuples(st.sampled_from(_MERGE_KINDS), st.integers(0, 2**32 - 1), st.booleans(),
+                       st.booleans()), min_size=1, max_size=4),
+    st.sampled_from(_MERGE_TOLS),
+)
+def test_merge_keeps_runs_apart(d, draws, tol):
+    # Runs side by side merge as each would alone, even where a run's first
+    # agent sits on the previous run's last one.
+    runs = []
+    for kind, seed, lone, touch in draws:
+        pos, masses, heights = (a[:1] if lone else a for a in _merge_inputs(kind, seed, d))
+        if touch and runs:
+            pos[0] = runs[-1][0][-1]
+        runs.append((pos, masses, heights))
+    labels = np.repeat(3 * np.arange(len(runs)), [r[1].size for r in runs])
+    pos, masses, heights = (np.concatenate(a) for a in zip(*runs))
+    with np.errstate(invalid="ignore"):  # inf - inf between infinite positions
+        got_pos, got_masses, got_heights, merged, kept = _merge_agents(pos, masses, heights, tol, labels)
+        want = [reference_merge(*run, tol) for run in runs]
+    assert merged == sum(w[3] for w in want)
+    assert (kept is None) == (merged == 0)
+    kept = np.ones(masses.size, dtype=bool) if kept is None else kept
+    assert [np.count_nonzero(kept[labels == 3 * k]) for k in range(len(runs))] == [w[1].size for w in want]
+    want_pos, want_masses, want_heights = (np.concatenate([w[k] for w in want]) for k in range(3))
+    assert np.array_equal(got_pos, want_pos, equal_nan=True)
+    assert np.array_equal(got_masses, want_masses)
+    assert np.array_equal(got_heights, want_heights)
+    assert np.array_equal(pos[kept], want_pos, equal_nan=True)
+    assert np.array_equal(heights[kept], want_heights)
 
 
 def test_run_argmin_picks_what_np_argmin_picks_in_each_run():

@@ -15,15 +15,20 @@ directory, whose path reads ``TMP`` in the captured text:
   methods ``sbgd`` and ``gdbt``;
 * ``--help`` of the program and of each subcommand;
 * ``bench --csv --hist`` on a 1-D and a 2-D preset, with the CSV files;
+* two batches that merge thousands of agents: ``bench --preset
+  ackley2d-b10-sbgd11-n100 --m 20 --tolmerge 0.5`` and ``bench --preset
+  ackley1d-sbgd11-n20 --m 50 --tolmerge 0.05``;
 * for each method, every config key set to a value other than its default,
   by config file (``bench`` and ``run``) and by flags (``bench``);
 * the usage and configuration errors (exit code 2): unknown, mistyped and
   missing keys, objectives, presets and methods, malformed init boxes,
   out-of-range parameters, each float key set to ``nan``, ``inf`` and
-  ``-inf`` by flag, a 2-D sweep, a malformed seed variable, ``--csv`` and
-  ``--hist`` paths in a missing directory, under a file or naming a
-  directory, ``--csv`` and ``--hist`` naming one file, and an infinite
-  ``--hist-bin-width``.
+  ``-inf`` by flag, an init box of infinite width by flag and one with an
+  infinite bound by config file, a 2-D sweep, sweeps from ``nan``, to
+  ``inf`` and over a span that overflows, a malformed seed variable,
+  ``--csv`` and ``--hist`` paths in a missing directory, under a file or
+  naming a directory, ``--csv`` and ``--hist`` naming one file, and an
+  infinite ``--hist-bin-width``.
 
 With ``--against OLD_DIR``, the new capture is then compared byte for byte
 with an earlier one, for example of the parent of a change that must not
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -63,6 +69,8 @@ CONFIG_FILES = {
     "wrong-type.json": json.dumps({"objective": "quadratic", "d": 1, "n": "ten"}),
     "unknown-method.json": json.dumps({"objective": "quadratic", "d": 1, "method": "newton"}),
     "init-box-arity.json": json.dumps({"objective": "quadratic", "d": 1, "init_box": [1.0, 2.0, 3.0]}),
+    "init-box-infinite.json": json.dumps({"objective": "ackley", "d": 2, "method": "gdbt", "n": 3, "m": 2,
+                                          "init_box": [[-math.inf, 0.0], [1.0, 2.0]]}),
     "not-json.json": "{",
 }
 
@@ -87,10 +95,16 @@ ERRORS = {
     "init-box-number": ["run", *QUAD1, "--init-box=a,b"],
     "init-box-order": ["run", *QUAD1, "--init-box=1,-1"],
     "init-box-arity-config": ["run", "--config", f"{TMP}/init-box-arity.json"],
+    "init-box-wide": ["bench", "--objective", "ackley", "--d", "2", "--method", "gdbt", "--n", "3", "--m", "2",
+                      "--jobs", "1", "--init-box=-1e308,1e308"],
+    "init-box-infinite-config": ["bench", "--config", f"{TMP}/init-box-infinite.json", "--jobs", "1"],
     "gamma": ["run", *QUAD1, "--gamma", "1.5"],
     "agents": ["run", *QUAD1, "--n", "0"],
     "sweep-2d": ["sweep", "--objective", "ackley", "--d", "2", "--from=-3", "--to=3", "--steps", "5"],
     "sweep-steps": ["sweep", *QUAD1, "--from=-3", "--to=3", "--steps", "0"],
+    "sweep-from-nan": ["sweep", *QUAD1, "--from=nan", "--to=3", "--steps", "5"],
+    "sweep-to-inf": ["sweep", *QUAD1, "--from=-3", "--to=inf", "--steps", "5"],
+    "sweep-span-overflow": ["sweep", *QUAD1, "--from=-1e308", "--to=1e308", "--steps", "5"],
     "seed-env": ["run", *QUAD1],
     **{f"non-finite-{key}-{value}": ["bench", *SMALL_GDBT, f"--{key}={value}"]
        for key in FLOAT_KEYS for value in ("nan", "inf", "-inf")},
@@ -135,6 +149,10 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
     out["files-flatbasin"] = ["bench", "--preset", "flatbasin-sbgd21-n30", "--m", "20", *files]
     out["files-ackley2d"] = ["bench", "--preset", "ackley2d-b10-sbgd11-n100", "--m", "10", *files,
                              "--hist-coord", "0", "--hist-bin-width", "0.5"]
+    out["merge-ackley2d"] = ["bench", "--preset", "ackley2d-b10-sbgd11-n100", "--m", "20", "--tolmerge", "0.5",
+                             "--jobs", "1"]
+    out["merge-ackley1d"] = ["bench", "--preset", "ackley1d-sbgd11-n20", "--m", "50", "--tolmerge", "0.05",
+                             "--jobs", "1"]
     for method in METHODS:
         config = f"{TMP}/all-keys-{method}.json"
         out[f"all-keys-{method}-bench-config"] = ["bench", "--config", config, "--jobs", "1"]
