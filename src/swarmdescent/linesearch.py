@@ -40,12 +40,17 @@ which numpy does several times faster than fancy or boolean indexing of an
 are formed in the one ``(k, m, d)`` array that holds ``h g``, and the
 Armijo thresholds ``f - c h |g|^2`` in one ``(k, m)`` array; when every
 agent shares ``c``, ``c h`` is one product per rung rather than one per
-agent and rung.  Each operation keeps its operands and order, so every bit
-is that of the whole-array expressions.  In a wide batch each of these
-arrays is above glibc's mmap threshold, so every one a block does not
-allocate is pages not mapped afresh: a ``gdbt-ackley2d`` round (4000
-agents) takes fewer than half the minor page faults it took with a fresh
-array for each step of those expressions.
+agent and rung.  The thresholds are formed before the block's evaluation
+and passed to it, so a landscape may return ``+inf``, without computing
+the value, for a trial point it can show the Armijo test rejects (the
+``ackley`` landscape skips its cosines; see ``objectives``): the point is
+rejected either way, and the value of a rejected rung is never used.
+Each operation keeps its operands and order, so every bit is that of the
+whole-array expressions.  In a wide batch each of these arrays is above
+glibc's mmap threshold, so every one a block does not allocate is pages
+not mapped afresh: a ``gdbt-ackley2d`` round (4000 agents) takes fewer
+than half the minor page faults it took with a fresh array for each step
+of those expressions.
 
 The rows are gathered anew in every block and live only while its trial
 points are formed.  Copies kept from block to block would skip only the
@@ -248,7 +253,6 @@ def backtrack_batch(
         # The trial points x - h g, formed in the array that holds h g.
         trial = h_block[:, None, None] * G.take(idx, axis=0)
         np.subtract(X.take(idx, axis=0), trial, out=trial)
-        f_trial = obj.evaluate_many(trial.reshape(-1, d))
         # The Armijo thresholds f - c h |g|^2, formed in one (k, m) array.
         if coeff.ndim:
             bound = coeff.take(idx) * h_block[:, None]
@@ -256,6 +260,7 @@ def backtrack_batch(
         else:
             bound = (coeff * h_block)[:, None] * g_sq.take(idx)
         np.subtract(f_base.take(idx), bound, out=bound)
+        f_trial = obj.evaluate_many(trial.reshape(-1, d), bound.reshape(-1))
         accept = f_trial.reshape(k, m) <= bound
         hit, first = _first_accepted(accept)
         cols = hit.nonzero()[0]

@@ -41,6 +41,37 @@ reference) -- under three rules:
   writes into its second operand (``np.add(a, b, out=b)``), unless both
   operands can only carry the same NaN (one coordinate feeds both), and
   :func:`_row_sum` hands a single row to numpy's reduction.
+
+The ladder only compares each trial value with its Armijo threshold, so it
+passes the thresholds along, and Ackley may screen rows out: such a row
+comes back as ``+inf`` and is one the ladder rejects anyway.  libm's ``cos``
+is about 80% of a 2-D Ackley value, and the screen skips the cosines of the
+rows it is sure of:
+
+* The bound.  Ackley is ``R - exp(mean cos) + 20 + e``, plus the value
+  shift ``c``.  Redoing the value's own operations in the same order, with
+  ``exp(mean cos)`` replaced by a constant ``E`` no smaller than it, gives
+  a lower bound on the computed value: IEEE addition and subtraction,
+  rounded to nearest, are monotone in each operand, so a smaller operand
+  never rounds to a larger result.  By the same monotony a mean of
+  cosines, each at most 1, rounds to at most 1: a sum of ``j`` of them to
+  at most ``j``, and the sum of all ``d`` over ``d`` to at most 1.  ``E =
+  e`` is no smaller than any ``exp(s)`` numpy returns for ``s <= 1``, which
+  ``tests/test_objectives.py`` checks on the 2^20 doubles nearest 1 (where
+  a rounding error could carry ``exp`` past ``e``).
+* The rule.  A row is screened out only where its bound plus ``c`` lies
+  strictly above its threshold, so its value does too; a value equal to
+  its threshold passes the Armijo test and is never screened.  A row with
+  an infinite coordinate has a NaN value (its cosine is NaN), which no
+  Armijo test accepts, and its bound may screen it; a NaN coordinate makes
+  the bound NaN, which screens nothing.
+* When.  Only once a call's bounds screen out at least a quarter of its
+  rows, since on fewer the gather of the kept rows costs more than their
+  cosines save.  The kept rows are computed by the very operations of the
+  whole kernel on an array of just those rows, which give every bit, NaN
+  signs included, whatever the row count.  ``ackley1d`` does not screen:
+  its sweep calls, about 200 points each, do not repay the bound's fixed
+  cost.
 """
 
 from __future__ import annotations
@@ -143,23 +174,66 @@ def _flat_basin_grads(z: np.ndarray) -> np.ndarray:
     return g[:, None]
 
 
-def _ackley_values(z: np.ndarray) -> np.ndarray:
-    """-20 exp(-0.2|z|/sqrt(d)) - exp(mean cos(2 pi z_i)) + 20 + e."""
-    d = z.shape[1]
+def _ackley_radial(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-20 exp(-0.2|z|/sqrt(d)), and the temporary ``z * z`` free for reuse."""
     w = z * z
     out = _row_sum(w, no_negative_zero=True)
     np.sqrt(out, out=out)
-    out *= -0.2 / np.sqrt(d)
+    out *= -0.2 / np.sqrt(z.shape[1])
     np.exp(out, out=out)
     out *= -20.0
+    return out, w
+
+
+def _ackley_waves(out: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Completes the radial part ``out`` of points ``z`` to their Ackley values in place.
+
+    ``w`` is a temporary of ``z``'s shape, which may be ``z`` itself.
+    """
     np.multiply(z, 2.0 * np.pi, out=w)
     np.cos(w, out=w)
     cos_avg = _row_sum(w, no_negative_zero=True)
-    cos_avg /= d
+    cos_avg /= z.shape[1]
     np.exp(cos_avg, out=cos_avg)
     out -= cos_avg
     out += 20.0
     out += np.e
+    return out
+
+
+def _ackley_values(z: np.ndarray) -> np.ndarray:
+    """-20 exp(-0.2|z|/sqrt(d)) - exp(mean cos(2 pi z_i)) + 20 + e."""
+    out, w = _ackley_radial(z)
+    return _ackley_waves(out, z, w)
+
+
+# Bounds every exp(s) numpy returns for s <= 1, the most a mean of cosines
+# can round to; tests/test_objectives.py checks the 2^20 doubles nearest 1.
+_ACKLEY_WAVE_MAX = np.e
+
+
+def _ackley_screened(z: np.ndarray, thresholds: np.ndarray, shift_c: float) -> np.ndarray:
+    """Ackley values, with +inf for rows whose value plus ``shift_c`` surely fails ``<= thresholds``.
+
+    A row is screened out when its lower bound plus ``shift_c`` lies
+    strictly above its threshold, and only once that holds for at least a
+    quarter of the rows; below that, every row gets its value.
+    """
+    out, w = _ackley_radial(z)
+    low = out - _ACKLEY_WAVE_MAX
+    low += 20.0
+    low += np.e
+    low += shift_c
+    above = low > thresholds
+    n_above = np.count_nonzero(above)
+    if 4 * n_above < out.size:
+        out = _ackley_waves(out, z, w)
+    else:
+        keep = (~above).nonzero()[0]
+        zk = z.take(keep, axis=0)
+        values = _ackley_waves(out.take(keep), zk, zk)
+        out = np.full(out.size, np.inf)
+        out.put(keep, values)
     return out
 
 
@@ -293,6 +367,8 @@ class _Landscape(NamedTuple):
     dimension: int | None  # the one dimension it is defined in, or None for any
     x_star: float  # every coordinate of the unshifted minimizer
     f_star: float  # the unshifted minimum value
+    # The values kernel that may screen out rows above their Armijo thresholds.
+    screened: Callable[..., np.ndarray] | None = None
 
 
 _LANDSCAPES = {
@@ -300,7 +376,7 @@ _LANDSCAPES = {
         _flat_basin_values, _flat_basin_grads, 1, FLAT_BASIN_XSTAR, FLAT_BASIN_FMIN),
     ObjectiveKind.ACKLEY_1D: _Landscape(_ackley_values, _ackley_grads, 1, 0.0, 0.0),
     ObjectiveKind.RASTRIGIN_1D: _Landscape(_rastrigin_values, _rastrigin_grads, 1, 0.0, 0.0),
-    ObjectiveKind.ACKLEY: _Landscape(_ackley_values, _ackley_grads, None, 0.0, 0.0),
+    ObjectiveKind.ACKLEY: _Landscape(_ackley_values, _ackley_grads, None, 0.0, 0.0, _ackley_screened),
     ObjectiveKind.RASTRIGIN: _Landscape(_rastrigin_values, _rastrigin_grads, None, 0.0, 0.0),
     ObjectiveKind.DROP_WAVE: _Landscape(_drop_wave_values, _drop_wave_grads, None, 0.0, -1.0),
     ObjectiveKind.ROSENBROCK_2D: _Landscape(_rosenbrock_values, _rosenbrock_grads, 2, 1.0, 0.0),
@@ -384,10 +460,21 @@ class Objective:
         """Gradient at a single point; the zero vector at non-smooth minima."""
         return self.gradient_many(self._as_point(x)[None, :])[0]
 
-    def evaluate_many(self, points) -> np.ndarray:
-        """Objective values for an ``(n, d)`` batch of points, as shape ``(n,)``."""
+    def evaluate_many(self, points, thresholds: np.ndarray | None = None) -> np.ndarray:
+        """Objective values for an ``(n, d)`` batch of points, as shape ``(n,)``.
+
+        With ``thresholds``, shape ``(n,)``, a value that fails the Armijo
+        test ``value <= threshold`` (one strictly above its threshold, or
+        NaN) may come back as ``+inf`` instead; every other value is exact.
+        The ladder passes its thresholds, since it only compares the values
+        with them.
+        """
         z = self._as_batch(points) - self.shift_b
-        values = _LANDSCAPES[self.kind].values(z, *self._params)
+        landscape = _LANDSCAPES[self.kind]
+        if thresholds is None or landscape.screened is None:
+            values = landscape.values(z, *self._params)
+        else:
+            values = landscape.screened(z, thresholds, self.shift_c)
         values += self.shift_c
         return values
 

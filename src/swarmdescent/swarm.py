@@ -99,9 +99,9 @@ def _run_argmin(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 _LANES = np.arange(_SEQUENTIAL_SUM - 1)[:, None]
-# Runs from which one gathered sum beats a ``.sum()`` call per run.  On a
-# 2-vCPU VM (numpy 2.4) the loop costs about 2 us plus 1.1 us per run and the
-# gather 7-12 us whatever the run count, so the two cross between 6 and 9
+# Short runs from which one gathered sum beats a ``.sum()`` call per run.  On
+# a 2-vCPU VM (numpy 2.4) the loop costs about 2 us plus 1.1 us per run and
+# the gather 7-12 us whatever the run count, so the two cross between 6 and 9
 # runs.  A lone run keeps its single call.
 _GATHERED_RUNS = 8
 
@@ -110,19 +110,20 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Per-run ``values[a:b].sum()`` between consecutive ``bounds``, bit for bit.
 
     ``np.add.reduceat`` would add in another order than a lone run's sum and
-    differ in the last bits.  With ``_GATHERED_RUNS`` runs or more, the runs
-    shorter than ``_SEQUENTIAL_SUM`` are summed together in numpy's order:
-    row by row over a gather padded with +0.0, which leaves any partial sum
-    as it is, since a sum begun on +0.0 is never -0.0.  Longer runs, runs
-    whose sum is NaN (which of two NaNs an elementwise add keeps varies
-    along the array) and the runs of a smaller batch are summed one by one.
+    differ in the last bits.  With ``_GATHERED_RUNS`` runs or more shorter
+    than ``_SEQUENTIAL_SUM``, those runs are summed together in numpy's
+    order: row by row over a gather padded with +0.0, which leaves any
+    partial sum as it is, since a sum begun on +0.0 is never -0.0.  Longer
+    runs, runs whose sum is NaN (which of two NaNs an elementwise add keeps
+    varies along the array) and the runs of a batch with fewer short runs
+    are summed one by one.
     """
     edges = bounds.tolist()
-    if len(edges) <= _GATHERED_RUNS:
-        return np.array([values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
     starts = bounds[:-1]
     counts = bounds[1:] - starts
     redo = counts >= _SEQUENTIAL_SUM
+    if redo.size - np.count_nonzero(redo) < _GATHERED_RUNS:
+        return np.array([values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
     counts[redo] = 0
     lanes = _LANES[:np.maximum.reduce(counts)]
     sums = np.zeros(starts.size)

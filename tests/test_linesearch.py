@@ -384,14 +384,52 @@ def test_agents_on_the_armijo_boundary_match_rung_by_rung_bitwise(c):
 
 
 class _Recording:
-    """An objective that records the number of points of each ``evaluate_many`` call."""
+    """An objective that records the number of points of each ``evaluate_many`` call.
+
+    It forwards the ladder's Armijo thresholds, so the screened kernels run
+    as they do without it, and counts the values that come back infinite.
+    """
 
     def __init__(self, obj):
-        self.obj, self.sizes = obj, []
+        self.obj, self.sizes, self.infinite = obj, [], 0
 
-    def evaluate_many(self, points):
+    def evaluate_many(self, points, thresholds=None):
         self.sizes.append(points.shape[0])
+        values = self.obj.evaluate_many(points, thresholds)
+        self.infinite += np.count_nonzero(np.isinf(values))
+        return values
+
+
+class _Unscreened:
+    """An objective that drops the ladder's thresholds, so every trial value is exact."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def evaluate_many(self, points, thresholds=None):
         return self.obj.evaluate_many(points)
+
+
+@pytest.mark.parametrize("c", ["scalar", "per agent"])
+@pytest.mark.parametrize("d", [1, 2, 20])
+def test_screened_ladder_matches_the_unscreened_one_bitwise(d, c):
+    # Ackley screens trial points out by a lower bound; the ladder must take
+    # the same steps, heights and counts as with every trial value exact.
+    obj = make_objective("ackley", d, shift_b=10.0, shift_c=-7.25)
+    rng = np.random.default_rng(d)
+    n = 300
+    X, G, F, _ = _mixed_agents(obj, n, d)
+    coeff = 0.3 if c == "scalar" else rng.uniform(0.01, 0.99, n)
+    params = BacktrackParams(lam=0.3, h0=2.0)
+    got_counts, want_counts = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    recording = _Recording(obj)
+    got = backtrack_batch(recording, X, G, coeff, params, F, counts=got_counts)
+    want = backtrack_batch(_Unscreened(obj), X, G, coeff, params, F, counts=want_counts)
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    assert got[2] == want[2] and np.array_equal(got_counts, want_counts)
+    assert 0 < np.count_nonzero(got[0]) < n
+    assert recording.infinite > sum(recording.sizes) // 4  # the screen ran
 
 
 def test_few_one_dimensional_agents_step_in_one_call():

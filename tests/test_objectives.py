@@ -1,5 +1,7 @@
 """Tests for the benchmark objectives: known minima, gradients, shifts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from kernel_oracle import reference_evaluate_many, reference_gradient_many
 
 from swarmdescent.objectives import (
+    _ACKLEY_WAVE_MAX,
     _LANDSCAPES,
     FLAT_BASIN_FMIN,
     FLAT_BASIN_XSTAR,
@@ -201,8 +204,8 @@ _COORDS = st.one_of(
 
 
 @st.composite
-def _kernel_cases(draw):
-    kind = draw(st.sampled_from(list(ObjectiveKind)))
+def _kernel_cases(draw, kinds=tuple(ObjectiveKind)):
+    kind = draw(st.sampled_from(kinds))
     fixed = _LANDSCAPES[kind].dimension
     d = fixed if fixed is not None else draw(st.sampled_from(ORACLE_DIMS))
     shift = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-5.0, 5.0))
@@ -245,6 +248,79 @@ def test_kernels_match_the_whole_array_oracle_bitwise(case):
     assert values.shape == want_values.shape and grads.shape == want_grads.shape
     assert np.array_equal(_bits(values), _bits(want_values))
     assert np.array_equal(_bits(grads), _bits(want_grads))
+
+
+def _thresholds(want, picks):
+    """Per row: the value, an ulp above or below it, +-inf, NaN, far above or far below it."""
+    far = 1e3 * np.abs(want) + 1.0
+    options = np.stack([want, np.nextafter(want, np.inf), np.nextafter(want, -np.inf),
+                        np.full_like(want, np.inf), np.full_like(want, -np.inf),
+                        np.full_like(want, np.nan), want + far, want - far])
+    return options[picks, np.arange(want.size)]
+
+
+@st.composite
+def _screened_cases(draw):
+    obj, points = draw(_kernel_cases([ObjectiveKind.ACKLEY]))
+    obj = dataclasses.replace(obj, shift_c=draw(st.floats(-1e6, 1e6)))
+    picks = draw(hnp.arrays(np.intp, points.shape[0], elements=st.integers(0, 7)))
+    return obj, points, picks
+
+
+@settings(deadline=None, max_examples=400)
+@given(_screened_cases())
+# Integer coordinates, where every cosine is 1 and the bound is the value:
+# a threshold equal to it keeps the row, which ``>=`` in place of ``>`` would
+# screen out; at -1e6 the bound without the value shift would too.
+@example((Objective(ObjectiveKind.ACKLEY, 2, shift_c=1e6), np.array([[3.0, -2.0]]), np.array([0])))
+@example((Objective(ObjectiveKind.ACKLEY, 2, shift_c=-1e6), np.array([[3.0, -2.0]]), np.array([0])))
+# One row kept of several, where an in-place add on one element picks the
+# other operand's NaN: the kept rows must come out as in a one-row call.
+@example((Objective(ObjectiveKind.ACKLEY, 3),
+          np.array([[1.0, 2.0, 0.5], [np.inf, np.nan, 0.0], [0.5, 0.25, 3.0]]), np.array([4, 5, 4])))
+@example((Objective(ObjectiveKind.ACKLEY, 2),
+          np.array([[-np.nan, np.nan], [2.0, 1.5]]), np.array([0, 7])))
+def test_screened_kernel_keeps_every_value_at_most_its_threshold_bitwise(case):
+    obj, points, picks = case
+    with np.errstate(all="ignore"):
+        want = reference_evaluate_many(obj, points)
+        thresholds = _thresholds(want, picks)
+        values = obj.evaluate_many(points, thresholds)
+    screened = _bits(values) != _bits(want)
+    assert np.all(values[screened] == np.inf)
+    # A screened row is one the Armijo test rejects: its value is strictly
+    # above its threshold, or NaN (an infinite coordinate's cosine is NaN).
+    assert not np.any(want[screened] <= thresholds[screened])
+
+
+def test_the_wave_bound_holds_for_every_exp_numpy_returns_at_and_below_one():
+    # A mean of cosines rounds to at most 1; exp is checked on the 2^20
+    # doubles nearest 1 from below, where rounding could carry it past e.
+    s = (np.float64(1.0).view(np.int64) - np.arange(2**20)).view(np.float64)
+    assert s[0] == 1.0 and np.all(np.diff(s) < 0.0)
+    assert np.all(np.exp(s) <= _ACKLEY_WAVE_MAX)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 20])
+def test_the_bound_equals_the_value_at_integer_points(d):
+    obj = make_objective("ackley", d, shift_b=10.0, shift_c=-3.5)
+    rng = np.random.default_rng(d)
+    points = rng.integers(-40, 41, (200, d)).astype(float)
+    z = points - obj.shift_b
+    assert np.all(np.cos(2.0 * np.pi * z) == 1.0)
+    assert np.all(np.exp(np.mean(np.cos(2.0 * np.pi * z), axis=1)) <= _ACKLEY_WAVE_MAX)
+    values = obj.evaluate_many(points)
+    # Each value is its own bound, so no threshold at or above it screens it out.
+    assert np.array_equal(obj.evaluate_many(points, values), values)
+    assert np.all(obj.evaluate_many(points, np.nextafter(values, -np.inf)) == np.inf)
+
+
+@pytest.mark.parametrize("name,dim", [case for case in CASES if case[0] != "ackley"])
+def test_other_landscapes_ignore_thresholds(name, dim):
+    obj = _make(name, dim, shift_c=0.5)
+    points = np.random.default_rng(2).uniform(-3.0, 3.0, (20, obj.dimension))
+    values = obj.evaluate_many(points)
+    assert np.array_equal(obj.evaluate_many(points, np.full(20, -np.inf)), values)
 
 
 _SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from per_run_oracle import reference_merge
 
@@ -410,8 +410,17 @@ def _run_layouts(draw):
     return values, bounds
 
 
+def _equal_runs(n_runs, length):
+    values = np.random.default_rng(length).standard_normal(n_runs * length) * 1e8
+    return values, np.arange(0, n_runs * length + 1, length)
+
+
 @settings(deadline=None, max_examples=300)
 @given(_run_layouts())
+# Enough runs for a gather, but all of them long: each is summed once, alone.
+@example(_equal_runs(10, 100))
+# Ten short runs, which are gathered.
+@example(_equal_runs(10, 3))
 def test_run_sums_match_each_runs_own_sum_bitwise(layout):
     values, bounds = layout
     with np.errstate(over="ignore", invalid="ignore"):

@@ -18,6 +18,9 @@ directory, whose path reads ``TMP`` in the captured text:
 * two batches that merge thousands of agents: ``bench --preset
   ackley2d-b10-sbgd11-n100 --m 20 --tolmerge 0.5`` and ``bench --preset
   ackley1d-sbgd11-n20 --m 50 --tolmerge 0.05``;
+* two Ackley batches with a value shift, which the screened kernel's bound
+  must carry: ``bench --preset ackley2d-b10-gdbt-n100 --m 10 --c -7.25`` and
+  ``bench --preset ackley20d-sbgd21-n50 --m 5 --c 1e6``;
 * for each method, every config key set to a value other than its default,
   by config file (``bench`` and ``run``) and by flags (``bench``);
 * the usage and configuration errors (exit code 2): unknown, mistyped and
@@ -153,6 +156,10 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
                              "--jobs", "1"]
     out["merge-ackley1d"] = ["bench", "--preset", "ackley1d-sbgd11-n20", "--m", "50", "--tolmerge", "0.05",
                              "--jobs", "1"]
+    out["shift-c-ackley2d"] = ["bench", "--preset", "ackley2d-b10-gdbt-n100", "--m", "10", "--c", "-7.25",
+                               "--jobs", "1"]
+    out["shift-c-ackley20d"] = ["bench", "--preset", "ackley20d-sbgd21-n50", "--m", "5", "--c", "1e6",
+                                "--jobs", "1"]
     for method in METHODS:
         config = f"{TMP}/all-keys-{method}.json"
         out[f"all-keys-{method}-bench-config"] = ["bench", "--config", config, "--jobs", "1"]
