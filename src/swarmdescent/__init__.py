@@ -16,7 +16,6 @@ from .harness import (
     is_success,
     precondition_and_correct,
     report_to_dict,
-    report_to_json,
     run_experiment,
     solution_histogram,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "make_objective",
     "precondition_and_correct",
     "report_to_dict",
-    "report_to_json",
     "run_baseline",
     "run_baseline_batch",
     "run_experiment",

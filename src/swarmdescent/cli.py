@@ -108,11 +108,10 @@ def preset_names() -> list[str]:
 
 def load_preset(name: str) -> dict:
     """Load a shipped preset document by name."""
-    path = resources.files(__package__) / "presets" / f"{name}.json"
-    if not path.is_file():
-        available = ", ".join(preset_names())
-        raise ConfigError(f"unknown preset {name!r}; available presets: {available}")
-    doc = json.loads(path.read_text())
+    names = preset_names()
+    if name not in names:
+        raise ConfigError(f"unknown preset {name!r}; available presets: {', '.join(names)}")
+    doc = json.loads((resources.files(__package__) / "presets" / f"{name}.json").read_text())
     return _validate_document(doc, f"preset {name!r}")
 
 

@@ -23,7 +23,6 @@ normalization, ``avg_loss`` averages the objective at the solutions.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -44,7 +43,6 @@ __all__ = [
     "is_success",
     "precondition_and_correct",
     "report_to_dict",
-    "report_to_json",
     "run_experiment",
     "solution_histogram",
     "write_histogram_csv",
@@ -449,11 +447,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
             for r, success in zip(report.per_run, report.successes, strict=True)
         ],
     }
-
-
-def report_to_json(report: ExperimentReport) -> str:
-    """Serialize a report; floats keep their shortest exact decimal form."""
-    return json.dumps(report_to_dict(report), indent=2)
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:

@@ -13,22 +13,23 @@ Evaluation is vectorised: :meth:`Objective.evaluate_many` and
 single-point methods are thin wrappers around them so that scalar and batch
 callers see bit-identical arithmetic.
 
-The kernels are the program's hottest code: the Armijo ladder evaluates a
-block of trial points per call.  Each computes exactly what its formula
-written as one whole-array numpy expression computes -- the same
-floating-point operations, with the same operands in the same order
-(``tests/kernel_oracle.py`` keeps those expressions as the bitwise
-reference) -- under three rules:
+Each kernel computes, bit for bit, what its formula written as one
+whole-array numpy expression computes (``tests/kernel_oracle.py`` keeps
+those expressions).  Every sum or mean over a point's coordinates is
+:func:`_row_sum` (a mean divides it by ``d``, as ``np.mean`` does).  It adds narrow rows column by column in numpy's own
+order, at a fraction of numpy's reduction set-up.  No column the kernels
+sum can hold ``-0.0`` (they are squares, cosines, which are never exactly
+0, and Rastrigin's terms, which end in ``+ 10``), so those sums start from
+the first column instead of from ``+0.0 +`` it.
 
-* Row sums follow numpy's order.  Every sum or mean over a point's
-  coordinates is :func:`_row_sum` (a mean divides it by ``d``, as
-  ``np.mean`` does).  It adds narrow rows column by column, which on rows
-  of one or two coordinates costs a fraction of numpy's reduction set-up,
-  and it gets every bit of ``np.sum(a, axis=1)`` because it adds in numpy's
-  own order.  No column the kernels sum can hold ``-0.0``: they are
-  squares, cosines (``cos`` never returns exactly 0) and Rastrigin's terms,
-  which end in ``+ 10``.  So their narrow sums start from the first column
-  instead of from ``+0.0 +`` it, one pass less with the same bits.
+The gradients and the Rosenbrock and quadratic values are plain
+expressions: a step makes one gradient call but a ladder of value calls,
+and no preset runs Rosenbrock or the quadratic, so writing them in place
+would save under 1% of any benchmark round.  The value kernels the ladder runs
+at volume -- flat basin, Ackley, Rastrigin and drop-wave -- are written in
+place, with the same operations on the same operands in the same order,
+under two rules:
+
 * ``out=`` writes only into arrays the kernel itself allocated.  A kernel
   never writes into its argument ``z`` or the caller's points, which may be
   read-only (the ladder's cached prefix) or still in use.  Writing a
@@ -160,17 +161,8 @@ def _flat_basin_values(z: np.ndarray) -> np.ndarray:
 
 def _flat_basin_grads(z: np.ndarray) -> np.ndarray:
     x = z[:, 0]
-    phase = 2.0 * x
-    phase *= x
-    g = np.sin(phase)
-    np.exp(g, out=g)
-    np.cos(phase, out=phase)
-    g *= phase
-    g *= 4.0
-    g *= x
-    slope = x - np.pi / 2
-    slope *= 0.2
-    g += slope
+    phase = 2.0 * x * x
+    g = np.exp(np.sin(phase)) * np.cos(phase) * 4.0 * x + 0.2 * (x - np.pi / 2)
     return g[:, None]
 
 
@@ -239,23 +231,13 @@ def _ackley_screened(z: np.ndarray, thresholds: np.ndarray, shift_c: float) -> n
 
 def _ackley_grads(z: np.ndarray) -> np.ndarray:
     d = z.shape[1]
-    r = _row_sum(z * z, no_negative_zero=True)
-    np.sqrt(r, out=r)
-    cone = r > 0.0
-    radial = r * (-0.2 / np.sqrt(d))
-    np.exp(radial, out=radial)
-    radial *= 4.0 / np.sqrt(d)
-    np.divide(radial, r, out=radial, where=cone)
-    radial[~cone] = 0.0
-    phase = z * (2.0 * np.pi)
-    cos_avg = _row_sum(np.cos(phase), no_negative_zero=True)
-    cos_avg /= d
-    np.exp(cos_avg, out=cos_avg)
-    cos_avg *= 2.0 * np.pi / d
-    np.sin(phase, out=phase)
-    np.multiply(cos_avg[:, None], phase, out=phase)
-    grads = radial[:, None] * z
-    grads += phase
+    r = np.sqrt(_row_sum(z * z, no_negative_zero=True))
+    radial = np.divide(4.0 / np.sqrt(d) * np.exp(-0.2 / np.sqrt(d) * r), r,
+                       out=np.zeros_like(r), where=r > 0.0)
+    phase = 2.0 * np.pi * z
+    cos_avg = _row_sum(np.cos(phase), no_negative_zero=True) / d
+    waves = (2.0 * np.pi / d) * np.exp(cos_avg)[:, None] * np.sin(phase)
+    grads = radial[:, None] * z + waves
     # The radial term has a cone tip at the minimizer; use the zero subgradient there.
     grads[r == 0.0] = 0.0
     return grads
@@ -275,13 +257,7 @@ def _rastrigin_values(z: np.ndarray) -> np.ndarray:
 
 
 def _rastrigin_grads(z: np.ndarray) -> np.ndarray:
-    waves = z * (2.0 * np.pi)
-    np.sin(waves, out=waves)
-    waves *= 20.0 * np.pi
-    grads = z * 2.0
-    grads += waves
-    grads /= z.shape[1]
-    return grads
+    return (2.0 * z + 20.0 * np.pi * np.sin(2.0 * np.pi * z)) / z.shape[1]
 
 
 def _drop_wave_values(z: np.ndarray) -> np.ndarray:
@@ -299,22 +275,12 @@ def _drop_wave_values(z: np.ndarray) -> np.ndarray:
 
 
 def _drop_wave_grads(z: np.ndarray) -> np.ndarray:
-    v = _row_sum(z * z, no_negative_zero=True)
-    r = np.sqrt(v)
-    cone = r > 0.0
-    coef = r * 12.0
-    u = np.cos(coef)
-    u += 1.0
-    np.sin(coef, out=coef)
-    coef *= 12.0
-    v *= 0.5
-    v += 2.0
-    coef *= v
-    np.divide(coef, r, out=coef, where=cone)
-    coef += u
-    v *= v
-    coef /= v
-    coef[~cone] = 0.0
+    r2 = _row_sum(z * z, no_negative_zero=True)
+    r = np.sqrt(r2)
+    safe_r = np.where(r > 0.0, r, 1.0)
+    u = 1.0 + np.cos(12.0 * r)
+    v = 0.5 * r2 + 2.0
+    coef = np.where(r > 0.0, (12.0 * np.sin(12.0 * r) * v / safe_r + u) / (v * v), 0.0)
     grads = coef[:, None] * z
     grads[r == 0.0] = 0.0
     return grads
@@ -323,36 +289,22 @@ def _drop_wave_grads(z: np.ndarray) -> np.ndarray:
 def _rosenbrock_values(z: np.ndarray) -> np.ndarray:
     """(1 - z_1)^2 + 100 (z_2 - z_1^2)^2, the banana valley with minimum at (1, 1)."""
     x1 = z[:, 0]
-    t = x1 * x1
-    np.subtract(z[:, 1], t, out=t)
-    out = 1.0 - x1
-    out *= out
-    valley = t * 100.0
-    valley *= t
-    # Not ``out += valley``, which on one point keeps the NaN of ``valley``.
-    np.add(out, valley, out=valley)
-    return valley
+    t = z[:, 1] - x1 * x1
+    return (1.0 - x1) ** 2 + 100.0 * t * t
 
 
 def _rosenbrock_grads(z: np.ndarray) -> np.ndarray:
     x1 = z[:, 0]
-    t = x1 * x1
-    np.subtract(z[:, 1], t, out=t)
+    t = z[:, 1] - x1 * x1
     g = np.empty_like(z)
-    first = 1.0 - x1
-    first *= -2.0
-    valley = x1 * 400.0
-    valley *= t
-    np.subtract(first, valley, out=g[:, 0])
-    np.multiply(t, 200.0, out=g[:, 1])
+    g[:, 0] = -2.0 * (1.0 - x1) - 400.0 * x1 * t
+    g[:, 1] = 200.0 * t
     return g
 
 
 def _quadratic_values(z: np.ndarray, mu: float) -> np.ndarray:
     """mu |z|^2 / 2 -- strongly convex with known curvature, for rate checks."""
-    out = _row_sum(z * z, no_negative_zero=True)
-    out *= 0.5 * mu
-    return out
+    return 0.5 * mu * _row_sum(z * z, no_negative_zero=True)
 
 
 def _quadratic_grads(z: np.ndarray, mu: float) -> np.ndarray:

@@ -1,9 +1,12 @@
 """The landscape kernels as whole-array expressions: the bitwise oracle for ``objectives``.
 
 These are the value and gradient expressions the package used before its
-kernels wrote into their own temporaries and summed narrow rows column by
-column.  Every kernel in ``swarmdescent.objectives`` must reproduce them bit
-for bit, NaN payloads included.
+kernels summed narrow rows column by column and its hot value kernels wrote
+into their own temporaries.  The gradients and the Rosenbrock and quadratic
+values in ``swarmdescent.objectives`` are these expressions again, with
+``_row_sum`` for each ``np.sum`` and ``np.mean`` and, at the Ackley
+gradient's cone tip, a masked ``np.divide`` for the ``np.where`` pair.
+Every kernel there must reproduce them bit for bit, NaN payloads included.
 """
 
 import numpy as np

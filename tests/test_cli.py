@@ -83,6 +83,12 @@ class TestRun:
             main(["run", "--objective", "quadratic", "--d", "1", "--init-box=1"])
         assert exc.value.code == 2
 
+    def test_non_numeric_init_box_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--objective", "quadratic", "--d", "1", "--init-box=a,b"])
+        assert exc.value.code == 2
+        assert "expected numeric LO,HI, got 'a,b'" in capsys.readouterr().err
+
 
 class TestConfigMerging:
     def test_config_file_then_flags_take_precedence(self, capsys, tmp_path):
@@ -107,6 +113,17 @@ class TestConfigMerging:
         rc, _, err = _run(capsys, "run", "--config", str(cfg))
         assert rc == 2
         assert "'n'" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ("{", "is not valid JSON"),
+    ])
+    def test_config_file_that_is_not_a_json_object(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc, _, err = _run(capsys, "run", "--config", str(cfg))
+        assert rc == 2
+        assert message in err
 
     def test_unreadable_config_file(self, capsys, tmp_path):
         rc, _, err = _run(capsys, "run", "--config", str(tmp_path / "absent.json"))
@@ -254,6 +271,15 @@ class TestPresets:
         rc, _, err = _run(capsys, "bench", "--preset", "flatbasin-nope")
         assert rc == 2
         assert "flatbasin-sbgd21-n30" in err
+
+    def test_a_preset_is_a_name_not_a_path(self, capsys, tmp_path):
+        outside = tmp_path / "outside.json"
+        outside.write_text(json.dumps({"objective": "quadratic", "d": 1}))
+        presets = os.path.dirname(cli.__file__) + "/presets"
+        for name in ("../presets/flatbasin-gd08-n30", os.path.relpath(tmp_path / "outside", presets)):
+            rc, _, err = _run(capsys, "run", "--preset", name)
+            assert rc == 2
+            assert f"unknown preset {name!r}; available presets: ackley1d-sbgd11-n20, " in err
 
 
 class TestBench:

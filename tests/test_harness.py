@@ -21,7 +21,6 @@ from swarmdescent.harness import (
     is_success,
     precondition_and_correct,
     report_to_dict,
-    report_to_json,
     run_experiment,
     sample_initial_positions,
     solution_histogram,
@@ -197,6 +196,13 @@ class TestRunExperiment:
             _quad_config(success_half_width=0.0)
         with pytest.raises(ValueError):
             _quad_config(method="sbgd")
+
+    def test_config_document_errors(self):
+        doc = {"objective": "quadratic", "d": 1, "method": "sbgd", "n": 1, "m": 1, "seed": 0}
+        with pytest.raises(ValueError, match="unknown method 'newton'; expected one of: sbgd, "):
+            harness.config_from_dict({**doc, "method": "newton"})
+        with pytest.raises(ValueError, match=r"init_box must be \[lo, hi\], got \[1.0, 2.0, 3.0\]"):
+            harness.config_from_dict({**doc, "init_box": [1.0, 2.0, 3.0]})
 
     @pytest.mark.parametrize("lo, hi", [
         (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan),
@@ -403,7 +409,7 @@ class TestBasinSweep:
 class TestSerialization:
     def test_report_json_roundtrip(self):
         report = run_experiment(_quad_config(n_runs=3))
-        doc = json.loads(report_to_json(report))
+        doc = json.loads(json.dumps(report_to_dict(report), indent=2))
         assert doc == report_to_dict(report)
         assert doc["success_rate"] == report.success_rate
         assert doc["mean_sq_error"] == report.mean_sq_error

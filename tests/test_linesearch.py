@@ -209,6 +209,9 @@ def test_batch_shape_validation():
         backtrack_batch(QUAD1, np.zeros((3, 1)), np.zeros((3, 1)), 0.2, BacktrackParams(), np.zeros(2))
     with pytest.raises(ValueError, match="d >= 1"):
         backtrack_batch(QUAD1, np.zeros((3, 0)), np.zeros((3, 0)), 0.2, BacktrackParams(), np.zeros(3))
+    with pytest.raises(ValueError, match=r"c must be a scalar or have shape \(3,\), got \(4,\)"):
+        backtrack_batch(QUAD1, np.zeros((3, 1)), np.zeros((3, 1)), np.full(4, 0.2), BacktrackParams(),
+                        np.zeros(3))
 
 
 _OBJECTIVES_BY_DIM = {

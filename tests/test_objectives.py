@@ -175,6 +175,10 @@ def test_make_objective_rejects_bad_input():
         make_objective("quadratic", dimension=2, mu=0.0)
     with pytest.raises(ValueError):
         Objective(kind="ackley", dimension=2)  # enum member required
+    for shift in ("shift_b", "shift_c"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="shifts must be finite"):
+                Objective(kind=ObjectiveKind.ACKLEY, dimension=2, **{shift: value})
 
 
 def test_evaluate_rejects_wrong_shapes():

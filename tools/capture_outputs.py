@@ -24,14 +24,15 @@ directory, whose path reads ``TMP`` in the captured text:
 * for each method, every config key set to a value other than its default,
   by config file (``bench`` and ``run``) and by flags (``bench``);
 * the usage and configuration errors (exit code 2): unknown, mistyped and
-  missing keys, objectives, presets and methods, malformed init boxes,
-  out-of-range parameters, each float key set to ``nan``, ``inf`` and
-  ``-inf`` by flag, an init box of infinite width by flag and one with an
-  infinite bound by config file, a 2-D sweep, sweeps from ``nan``, to
-  ``inf`` and over a span that overflows, a malformed seed variable,
-  ``--csv`` and ``--hist`` paths in a missing directory, under a file or
-  naming a directory, ``--csv`` and ``--hist`` naming one file, and an
-  infinite ``--hist-bin-width``.
+  missing keys, objectives, presets and methods, a preset named by a path, a
+  config file that is not JSON and one that holds a JSON array, malformed
+  init boxes, out-of-range parameters, each float key set to ``nan``,
+  ``inf`` and ``-inf`` by flag, an init box of infinite width by flag and
+  one with an infinite bound by config file, a 2-D sweep, sweeps from
+  ``nan``, to ``inf`` and over a span that overflows, a malformed seed
+  variable, ``--csv`` and ``--hist`` paths in a missing directory, under a
+  file or naming a directory, ``--csv`` and ``--hist`` naming one file, and
+  an infinite ``--hist-bin-width``.
 
 With ``--against OLD_DIR``, the new capture is then compared byte for byte
 with an earlier one, for example of the parent of a change that must not
@@ -75,6 +76,7 @@ CONFIG_FILES = {
     "init-box-infinite.json": json.dumps({"objective": "ackley", "d": 2, "method": "gdbt", "n": 3, "m": 2,
                                           "init_box": [[-math.inf, 0.0], [1.0, 2.0]]}),
     "not-json.json": "{",
+    "not-object.json": "[1, 2]",
 }
 
 QUAD1 = ["--objective", "quadratic", "--d", "1"]
@@ -87,11 +89,13 @@ ERRORS = {
     "wrong-type-flag": ["run", "--objective", "quadratic", "--d", "two"],
     "config-absent": ["run", "--config", f"{TMP}/absent.json"],
     "config-not-json": ["run", "--config", f"{TMP}/not-json.json"],
+    "config-not-object": ["run", "--config", f"{TMP}/not-object.json"],
     "missing-objective": ["run", "--method", "sbgd"],
     "unknown-objective": ["run", "--objective", "griewank"],
     "needs-dimension": ["run", "--objective", "ackley"],
     "fixed-dimension": ["run", "--objective", "ackley1d", "--d", "2"],
     "unknown-preset": ["bench", "--preset", "flatbasin-nope"],
+    "preset-path": ["run", "--preset", "../presets/flatbasin-gd08-n30"],
     "unknown-method-flag": ["run", *QUAD1, "--method", "newton"],
     "unknown-method-config": ["run", "--config", f"{TMP}/unknown-method.json"],
     "init-box-arity": ["run", *QUAD1, "--init-box=1"],
