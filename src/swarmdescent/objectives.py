@@ -51,15 +51,43 @@ rows it is sure of:
 
 * The bound.  Ackley is ``R - exp(mean cos) + 20 + e``, plus the value
   shift ``c``.  Redoing the value's own operations in the same order, with
-  ``exp(mean cos)`` replaced by a constant ``E`` no smaller than it, gives
-  a lower bound on the computed value: IEEE addition and subtraction,
+  ``exp(mean cos)`` replaced by a number ``E`` no smaller than it, gives a
+  lower bound on the computed value: IEEE addition and subtraction,
   rounded to nearest, are monotone in each operand, so a smaller operand
-  never rounds to a larger result.  By the same monotony a mean of
-  cosines, each at most 1, rounds to at most 1: a sum of ``j`` of them to
-  at most ``j``, and the sum of all ``d`` over ``d`` to at most 1.  ``E =
-  e`` is no smaller than any ``exp(s)`` numpy returns for ``s <= 1``, which
+  never rounds to a larger result.
+* ``E = e`` serves every row.  By the same monotony a mean of cosines, each
+  at most 1, rounds to at most 1: a sum of ``j`` of them to at most ``j``,
+  and the sum of all ``d`` over ``d`` to at most 1.  ``e`` is no smaller
+  than any ``exp(s)`` numpy returns for ``s <= 1``, which
   ``tests/test_objectives.py`` checks on the 2^20 doubles nearest 1 (where
   a rounding error could carry ``exp`` past ``e``).
+* A tighter ``E`` per row.  ``cos x <= 1 - x^2/2 + x^4/24`` for every real
+  ``x``.  With ``t = z - rint(z)``, exact, and ``s = t^2``, this gives
+  ``cos(2 pi z) <= 1 - 2 pi^2 s + (2 pi^4 / 3) s^2``, so the bound takes
+  ``E = min(e, exp(1 + 1e-9 - (2 pi^2 sum s - (2 pi^4 / 3) sum s^2) / d))``.
+* The margin.  ``exp`` grows by a factor of ``e^1e-9``, about ``1 + 1e-9``,
+  across the ``1e-9`` in the exponent.  It covers, each far below it:
+  the phase, since the cosine is taken of ``z * 2 pi`` rounded, which for
+  ``|z| <= 2^16`` lies within ``2^16 * 2.5e-16`` (``2 pi`` rounded) plus
+  half an ulp of a number below ``2^19`` (the product rounded), under
+  ``1e-10``, of the true phase, and ``cos`` is 1-Lipschitz; libm's ``cos``,
+  within an ulp; the row means, which numpy sums in order below 8 values
+  and pairwise in blocks of at most 128 above, so that a mean of terms of
+  magnitude at most 5 is off by under ``(128 + log2 d) * 2^-53 * 5``,
+  below ``1e-12`` for any ``d`` that fits in memory; the polynomial's own
+  roundings and constants, each a few ulp of numbers below 5; and
+  ``exp``, which numpy computes within a few ulp, so that its results at
+  two arguments ``8e-10`` apart keep their order (``tests/test_objectives.py``
+  checks ``2^21`` doubles in ``[-1, 1]``).  Near the integers, where the
+  minima are, the bound is tight: where every ``|t| <= 1e-3`` the
+  polynomial is off by under ``1e-16``, and the bound lies at most
+  ``4e-9`` plus an ulp of the value below it.
+* Where the tighter ``E`` runs.  Only for rows whose ``z * z`` has no entry
+  above ``2^32``, which holds exactly when every ``|z| <= 2^16`` (rounding
+  is monotone and ``2^32`` is a double) and fails for a NaN; one maximum
+  over the whole call decides, and only when it fails are its rows told
+  apart, the others getting ``E = e``.  And only on calls of at least 2048
+  coordinates: on fewer, its passes cost more than the cosines they save.
 * The rule.  A row is screened out only where its bound plus ``c`` lies
   strictly above its threshold, so its value does too; a value equal to
   its threshold passes the Armijo test and is never screened.  A row with
@@ -202,6 +230,46 @@ def _ackley_values(z: np.ndarray) -> np.ndarray:
 # Bounds every exp(s) numpy returns for s <= 1, the most a mean of cosines
 # can round to; tests/test_objectives.py checks the 2^20 doubles nearest 1.
 _ACKLEY_WAVE_MAX = np.e
+# cos x <= 1 - x^2/2 + x^4/24 for every real x, so with t = z - rint(z),
+# cos(2 pi z) <= 1 - t^2 (_TAYLOR_2 - _TAYLOR_4 t^2).
+_TAYLOR_2 = 2.0 * np.pi**2
+_TAYLOR_4 = 2.0 * np.pi**4 / 3.0
+# Added to the bound's exponent; covers every rounding error the module
+# docstring lists, each far below it.
+_TAYLOR_SLACK = 1e-9
+# The largest |z| for which the phase z * 2 pi rounds by under 1e-10.
+_TAYLOR_MAX_Z = 2.0**16
+# Coordinates per call below which the bound's passes cost more than the
+# cosines they save; such calls bound every row by _ACKLEY_WAVE_MAX.
+_TAYLOR_MIN_COORDS = 2048
+
+
+def _ackley_wave_bound(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row, a number no smaller than the ``exp(mean cos)`` that :func:`_ackley_waves` computes.
+
+    ``w`` holds ``z * z`` and is overwritten.  Rows with a coordinate beyond
+    2^16 in magnitude, or not finite, get ``_ACKLEY_WAVE_MAX``.
+    """
+    trusted = w.max() <= _TAYLOR_MAX_Z**2
+    if not trusted:
+        ok = np.maximum.reduce(w, axis=1) <= _TAYLOR_MAX_Z**2
+        z = np.clip(z, -_TAYLOR_MAX_Z, _TAYLOR_MAX_Z)  # no inf - inf below
+    np.rint(z, out=w)
+    np.subtract(z, w, out=w)
+    w *= w
+    bound = _row_sum(w, no_negative_zero=True)
+    w *= w
+    quartic = _row_sum(w, no_negative_zero=True)
+    bound *= _TAYLOR_2
+    quartic *= _TAYLOR_4
+    bound -= quartic
+    bound /= z.shape[1]
+    np.subtract(1.0 + _TAYLOR_SLACK, bound, out=bound)
+    np.exp(bound, out=bound)
+    np.minimum(bound, _ACKLEY_WAVE_MAX, out=bound)
+    if not trusted:
+        bound[~ok] = _ACKLEY_WAVE_MAX
+    return bound
 
 
 def _ackley_screened(z: np.ndarray, thresholds: np.ndarray, shift_c: float) -> np.ndarray:
@@ -212,7 +280,11 @@ def _ackley_screened(z: np.ndarray, thresholds: np.ndarray, shift_c: float) -> n
     quarter of the rows; below that, every row gets its value.
     """
     out, w = _ackley_radial(z)
-    low = out - _ACKLEY_WAVE_MAX
+    if z.size < _TAYLOR_MIN_COORDS:
+        low = out - _ACKLEY_WAVE_MAX
+    else:
+        low = _ackley_wave_bound(z, w)
+        np.subtract(out, low, out=low)
     low += 20.0
     low += np.e
     low += shift_c
@@ -422,6 +494,9 @@ class Objective:
         with them.
         """
         z = self._as_batch(points) - self.shift_b
+        if thresholds is not None and np.shape(thresholds) != z.shape[:1]:
+            raise ValueError(
+                f"thresholds must have shape ({z.shape[0]},), got {np.shape(thresholds)}")
         landscape = _LANDSCAPES[self.kind]
         if thresholds is None or landscape.screened is None:
             values = landscape.values(z, *self._params)

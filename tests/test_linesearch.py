@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from per_run_oracle import one_row_backtrack, oracle_batch
 
-from swarmdescent import baselines, harness, swarm
+from swarmdescent import baselines, harness, objectives, swarm
 from swarmdescent.cli import main as cli_main
 from swarmdescent.cli import preset_names
 from swarmdescent.linesearch import (
@@ -304,10 +305,10 @@ def test_scalar_c_matches_a_full_array_bitwise(case, c):
     _assert_scalar_c_matches_a_full_array(case, c)
 
 
-def _mixed_agents(obj, n, seed):
+def _mixed_agents(obj, n, seed, center=0.0):
     """Agents that accept, stall below a far base, stall on a NaN base, or have a zero gradient, in turn."""
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-3.0, 3.0, (n, obj.dimension))
+    X = rng.uniform(center - 3.0, center + 3.0, (n, obj.dimension))
     G = obj.gradient_many(X)
     F = obj.evaluate_many(X)
     kind = np.arange(n) % 4
@@ -417,22 +418,37 @@ class _Unscreened:
 @pytest.mark.parametrize("d", [1, 2, 20])
 def test_screened_ladder_matches_the_unscreened_one_bitwise(d, c):
     # Ackley screens trial points out by a lower bound; the ladder must take
-    # the same steps, heights and counts as with every trial value exact.
+    # the same steps, heights and counts as with every trial value exact,
+    # near the minima and where the trial points cross |z| = 2^16, beyond
+    # which a row's bound falls back from the Taylor polynomial to e.
     obj = make_objective("ackley", d, shift_b=10.0, shift_c=-7.25)
     rng = np.random.default_rng(d)
     n = 300
-    X, G, F, _ = _mixed_agents(obj, n, d)
     coeff = 0.3 if c == "scalar" else rng.uniform(0.01, 0.99, n)
     params = BacktrackParams(lam=0.3, h0=2.0)
-    got_counts, want_counts = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    recording = _Recording(obj)
-    got = backtrack_batch(recording, X, G, coeff, params, F, counts=got_counts)
-    want = backtrack_batch(_Unscreened(obj), X, G, coeff, params, F, counts=want_counts)
-    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
-    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
-    assert got[2] == want[2] and np.array_equal(got_counts, want_counts)
-    assert 0 < np.count_nonzero(got[0]) < n
-    assert recording.infinite > sum(recording.sizes) // 4  # the screen ran
+    # Groups of four agents with z below and above 2^16 in turn.
+    across = 2.0**16 + obj.shift_b + np.where(np.arange(n) // 4 % 2, 3.0, -3.0)[:, None]
+    for center in (0.0, across):
+        X, G, F, _ = _mixed_agents(obj, n, d, center)
+        want_counts = np.zeros(n, dtype=int)
+        want = backtrack_batch(_Unscreened(obj), X, G, coeff, params, F, counts=want_counts)
+        assert 0 < np.count_nonzero(want[0]) < n
+        screened = {}
+        for bound, min_coords in (("taylor", objectives._TAYLOR_MIN_COORDS), ("e", np.inf)):
+            got_counts = np.zeros(n, dtype=int)
+            recording = _Recording(obj)
+            with mock.patch.object(objectives, "_TAYLOR_MIN_COORDS", min_coords):
+                got = backtrack_batch(recording, X, G, coeff, params, F, counts=got_counts)
+            assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+            assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+            assert got[2] == want[2] and np.array_equal(got_counts, want_counts)
+            assert recording.infinite > sum(recording.sizes) // 4  # the screen ran
+            screened[bound] = recording.infinite
+        # The Taylor bound screens out more trial points than e alone.
+        assert screened["taylor"] > screened["e"]
+    # The last agents straddle the guard: some rows have every |z| <= 2^16.
+    inside = np.all(np.abs(X - obj.shift_b) <= 2.0**16, axis=1)
+    assert 0 < np.count_nonzero(inside) < n
 
 
 def test_few_one_dimensional_agents_step_in_one_call():

@@ -1,6 +1,7 @@
 """Tests for the benchmark objectives: known minima, gradients, shifts."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from kernel_oracle import reference_evaluate_many, reference_gradient_many
 
+from swarmdescent import objectives
 from swarmdescent.objectives import (
     _ACKLEY_WAVE_MAX,
     _LANDSCAPES,
+    _TAYLOR_MIN_COORDS,
+    _TAYLOR_SLACK,
     FLAT_BASIN_FMIN,
     FLAT_BASIN_XSTAR,
     OBJECTIVE_NAMES,
@@ -207,16 +211,18 @@ _COORDS = st.one_of(
 )
 
 
+_SHIFTS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-5.0, 5.0))
+
+
 @st.composite
-def _kernel_cases(draw, kinds=tuple(ObjectiveKind)):
+def _kernel_cases(draw, kinds=tuple(ObjectiveKind), coords=_COORDS, shift_b=_SHIFTS):
     kind = draw(st.sampled_from(kinds))
     fixed = _LANDSCAPES[kind].dimension
     d = fixed if fixed is not None else draw(st.sampled_from(ORACLE_DIMS))
-    shift = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-5.0, 5.0))
-    obj = Objective(kind, d, shift_b=draw(shift), shift_c=draw(shift),
+    obj = Objective(kind, d, shift_b=draw(shift_b), shift_c=draw(_SHIFTS),
                     mu=draw(st.floats(0.1, 10.0)))
     n = draw(st.integers(1, 12))
-    points = draw(hnp.arrays(np.float64, (n, d), elements=_COORDS))
+    points = draw(hnp.arrays(np.float64, (n, d), elements=coords))
     # Some rows sit exactly at the minimizer, where the cone-tip branches run.
     at_min = draw(hnp.arrays(np.bool_, n))
     points[at_min] = obj.minimizer
@@ -263,12 +269,34 @@ def _thresholds(want, picks):
     return options[picks, np.arange(want.size)]
 
 
+# The coordinates beyond which a row's Taylor bound falls back to e.
+_GUARD = 2.0**16
+# Coordinates where the Taylor bound is tightest (within 1e-8 of an integer)
+# or loosest (half-integers), at the guard and one ulp either side of it,
+# and far beyond it, besides those of every kernel test.
+_SCREEN_COORDS = st.one_of(
+    _COORDS,
+    st.builds(lambda k, t: k + t, st.integers(-2**16, 2**16), st.floats(-1e-8, 1e-8)),
+    st.integers(-2**16, 2**16 - 1).map(lambda k: k + 0.5),
+    st.sampled_from([_GUARD, -_GUARD, np.nextafter(_GUARD, np.inf), np.nextafter(_GUARD, 0.0),
+                     -np.nextafter(_GUARD, np.inf), -np.nextafter(_GUARD, 0.0), 1e15, -1e15]),
+)
+
+
 @st.composite
 def _screened_cases(draw):
-    obj, points = draw(_kernel_cases([ObjectiveKind.ACKLEY]))
-    obj = dataclasses.replace(obj, shift_c=draw(st.floats(-1e6, 1e6)))
+    # Whole shifts keep the coordinates near the integers as near in z.
+    shift_b = st.one_of(_SHIFTS, st.integers(-5, 5).map(float))
+    obj, points = draw(_kernel_cases([ObjectiveKind.ACKLEY], _SCREEN_COORDS, shift_b))
+    shift_c = st.one_of(st.sampled_from([1e6, -1e6]), st.floats(-1e6, 1e6))
+    obj = dataclasses.replace(obj, shift_c=draw(shift_c))
     picks = draw(hnp.arrays(np.intp, points.shape[0], elements=st.integers(0, 7)))
     return obj, points, picks
+
+
+def _bound(taylor):
+    """Screen calls of every size with the Taylor bound, or every call with ``e`` alone."""
+    return mock.patch.object(objectives, "_TAYLOR_MIN_COORDS", 0 if taylor else np.inf)
 
 
 @settings(deadline=None, max_examples=400)
@@ -284,17 +312,32 @@ def _screened_cases(draw):
           np.array([[1.0, 2.0, 0.5], [np.inf, np.nan, 0.0], [0.5, 0.25, 3.0]]), np.array([4, 5, 4])))
 @example((Objective(ObjectiveKind.ACKLEY, 2),
           np.array([[-np.nan, np.nan], [2.0, 1.5]]), np.array([0, 7])))
+# The guard at 2^16 and one ulp either side, near-integers and half-integers,
+# with thresholds at the value and one ulp either side of it.
+@example((Objective(ObjectiveKind.ACKLEY, 2, shift_c=1e6),
+          np.array([[_GUARD, -_GUARD], [np.nextafter(_GUARD, np.inf), 3.0],
+                    [np.nextafter(-_GUARD, 0.0), 1.0 + 1e-8], [-np.nextafter(_GUARD, np.inf), -0.0]]),
+          np.array([0, 2, 1, 0])))
+@example((Objective(ObjectiveKind.ACKLEY, 3, shift_c=-1e6),
+          np.array([[1e15, 0.5, -7.0 - 1e-8], [1e200, -0.0, 0.0], [65535.5, 1e-8, np.nextafter(_GUARD, 0.0)],
+                    [-np.inf, 2.0, 2.5]]),
+          np.array([2, 0, 1, 2])))
+@example((Objective(ObjectiveKind.ACKLEY, 2, shift_c=1e6),
+          np.array([[4.0 + 1e-8, -4.0 - 1e-8], [0.5, -0.5], [1e-8, 0.0], [np.nan, 1e-8]]),
+          np.array([2, 2, 0, 1])))
 def test_screened_kernel_keeps_every_value_at_most_its_threshold_bitwise(case):
     obj, points, picks = case
     with np.errstate(all="ignore"):
         want = reference_evaluate_many(obj, points)
         thresholds = _thresholds(want, picks)
-        values = obj.evaluate_many(points, thresholds)
-    screened = _bits(values) != _bits(want)
-    assert np.all(values[screened] == np.inf)
-    # A screened row is one the Armijo test rejects: its value is strictly
-    # above its threshold, or NaN (an infinite coordinate's cosine is NaN).
-    assert not np.any(want[screened] <= thresholds[screened])
+    for taylor in (False, True):
+        with np.errstate(all="ignore"), _bound(taylor):
+            values = obj.evaluate_many(points, thresholds)
+        screened = _bits(values) != _bits(want)
+        assert np.all(values[screened] == np.inf)
+        # A screened row is one the Armijo test rejects: its value is strictly
+        # above its threshold, or NaN (an infinite coordinate's cosine is NaN).
+        assert not np.any(want[screened] <= thresholds[screened])
 
 
 def test_the_wave_bound_holds_for_every_exp_numpy_returns_at_and_below_one():
@@ -303,6 +346,18 @@ def test_the_wave_bound_holds_for_every_exp_numpy_returns_at_and_below_one():
     s = (np.float64(1.0).view(np.int64) - np.arange(2**20)).view(np.float64)
     assert s[0] == 1.0 and np.all(np.diff(s) < 0.0)
     assert np.all(np.exp(s) <= _ACKLEY_WAVE_MAX)
+
+
+def test_exp_keeps_the_order_of_arguments_the_taylor_margin_apart():
+    # The Taylor bound's exponent exceeds the computed mean of the cosines
+    # by at least 8e-10 of its 1e-9 margin; exp's own rounding must not undo
+    # that.  The exponent is (1 + margin) minus the polynomial's gap, as the
+    # kernel forms it, on means spread over [-1, 1] and the doubles nearest 1.
+    spread = np.linspace(-1.0, 1.0, 2**20)
+    nearest_one = (np.float64(1.0).view(np.int64) - np.arange(2**20)).view(np.float64)
+    for x in (spread, nearest_one):
+        assert np.all(np.exp((1.0 + _TAYLOR_SLACK) - (1.0 - x)) >= np.exp(x))
+        assert np.all(np.exp(x + 0.8 * _TAYLOR_SLACK) >= np.exp(x))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 20])
@@ -314,9 +369,76 @@ def test_the_bound_equals_the_value_at_integer_points(d):
     assert np.all(np.cos(2.0 * np.pi * z) == 1.0)
     assert np.all(np.exp(np.mean(np.cos(2.0 * np.pi * z), axis=1)) <= _ACKLEY_WAVE_MAX)
     values = obj.evaluate_many(points)
-    # Each value is its own bound, so no threshold at or above it screens it out.
-    assert np.array_equal(obj.evaluate_many(points, values), values)
-    assert np.all(obj.evaluate_many(points, np.nextafter(values, -np.inf)) == np.inf)
+    # Each value is its own bound (the Taylor bound is no looser than e), so
+    # no threshold at or above it screens it out.
+    for taylor in (False, True):
+        with _bound(taylor):
+            assert np.array_equal(obj.evaluate_many(points, values), values)
+            assert np.all(obj.evaluate_many(points, np.nextafter(values, -np.inf)) == np.inf)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 20])
+def test_the_taylor_bound_is_never_above_the_value_near_integer_points(d):
+    # Within 1e-2 of an integer the computed cosine strays from the true one
+    # by the phase's rounding, which the margin covers up to |z| = 2^16 and
+    # the guard's fallback to e beyond: a threshold equal to the value keeps
+    # every row.  Without its margin the bound screened out about 1200 of the
+    # 4096 rows up to 2^16 (d <= 3), and without its guard 1250-1958 of those
+    # up to 2^40.
+    rng = np.random.default_rng(d)
+    n = 4096
+    for magnitude in (2**16, 2**40):
+        k = rng.integers(-magnitude, magnitude, (n, d))
+        t = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-6.0, -2.0, (n, d))
+        obj = make_objective("ackley", d)
+        values = obj.evaluate_many(k + t)
+        assert np.array_equal(obj.evaluate_many(k + t, values), values)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 20])
+def test_the_taylor_bound_is_within_its_margin_near_integer_points(d):
+    # Where every |t| <= 1e-3 and |z| <= 2^16, the bound lies at most 4e-9
+    # plus an ulp of the value below it, so a threshold further below screens
+    # every row; with e alone it lies about 5e-5 below at |t| = 1e-3.
+    rng = np.random.default_rng(d)
+    n = _TAYLOR_MIN_COORDS  # at least _TAYLOR_MIN_COORDS coordinates, whatever d
+    z = rng.integers(-2**16 + 1, 2**16, (n, d)) + rng.uniform(-1e-3, 1e-3, (n, d))
+    for shift_c in (-1e6, 0.0, 1e6):
+        obj = make_objective("ackley", d, shift_c=shift_c)
+        values = obj.evaluate_many(z)
+        thresholds = values - (4e-9 + 2.0 * np.spacing(np.abs(values)))
+        assert np.all(obj.evaluate_many(z, thresholds) == np.inf)
+
+
+def test_the_taylor_bound_runs_from_its_coordinate_count_on():
+    # At half-integers every cosine is -1 and exp(mean cos) = 1/e: the Taylor
+    # bound puts the value at most 0.77 above its bound, e alone 2.35, so a
+    # threshold 1 below the value screens only on the Taylor bound's calls.
+    obj = make_objective("ackley", 2)
+    rows = _TAYLOR_MIN_COORDS // 2
+    points = np.random.default_rng(3).integers(-50, 50, (rows, 2)) + 0.5
+    values = obj.evaluate_many(points)
+    assert np.all(obj.evaluate_many(points, values - 1.0) == np.inf)
+    assert np.array_equal(obj.evaluate_many(points[1:], values[1:] - 1.0), values[1:])
+
+
+def test_the_taylor_bound_of_rows_beyond_the_guard_is_e_without_a_warning():
+    z = np.array([[np.inf, 1.0], [np.nan, -np.inf], [1e200, 0.5], [-0.0, np.nextafter(_GUARD, np.inf)],
+                  [_GUARD, 3.25], [-_GUARD, 0.5], [0.25, 1e-200]])
+    with np.errstate(over="ignore"):
+        w = z * z
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        bound = objectives._ackley_wave_bound(z, w)
+    assert np.all(bound[:4] == _ACKLEY_WAVE_MAX) and np.all(bound[4:] < _ACKLEY_WAVE_MAX)
+
+
+@pytest.mark.parametrize("name,dim", [("ackley", 2), ("rastrigin", 2)])
+def test_evaluate_many_rejects_thresholds_of_another_shape(name, dim):
+    obj = _make(name, dim)
+    points = np.zeros((5, dim))
+    for shape in [(5, 1), (1,), (4,), ()]:
+        with pytest.raises(ValueError, match=r"thresholds must have shape \(5,\)"):
+            obj.evaluate_many(points, np.zeros(shape))
 
 
 @pytest.mark.parametrize("name,dim", [case for case in CASES if case[0] != "ackley"])

@@ -21,6 +21,9 @@ directory, whose path reads ``TMP`` in the captured text:
 * two Ackley batches with a value shift, which the screened kernel's bound
   must carry: ``bench --preset ackley2d-b10-gdbt-n100 --m 10 --c -7.25`` and
   ``bench --preset ackley20d-sbgd21-n50 --m 5 --c 1e6``;
+* an Ackley batch whose trial points cross ``|z| = 2^16``, where the
+  screened kernel's Taylor bound gives way to ``e``: ``bench --objective
+  ackley --d 2 --method gdbt --n 20 --m 3 --init-box=65000,66100``;
 * for each method, every config key set to a value other than its default,
   by config file (``bench`` and ``run``) and by flags (``bench``);
 * the usage and configuration errors (exit code 2): unknown, mistyped and
@@ -164,6 +167,8 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
                                "--jobs", "1"]
     out["shift-c-ackley20d"] = ["bench", "--preset", "ackley20d-sbgd21-n50", "--m", "5", "--c", "1e6",
                                 "--jobs", "1"]
+    out["guard-ackley2d"] = ["bench", "--objective", "ackley", "--d", "2", "--method", "gdbt", "--n", "20",
+                             "--m", "3", "--jobs", "1", "--init-box=65000,66100"]
     for method in METHODS:
         config = f"{TMP}/all-keys-{method}.json"
         out[f"all-keys-{method}-bench-config"] = ["bench", "--config", config, "--jobs", "1"]
