@@ -180,9 +180,14 @@ def _check_output_path(flag: str, path: str) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.hist is None:
+        for flag, value in (("--hist-bin-width", args.hist_bin_width), ("--hist-coord", args.hist_coord)):
+            if value is not None:
+                raise ConfigError(f"{flag} needs --hist")
+    bin_width = 1e-4 if args.hist_bin_width is None else args.hist_bin_width
     cfg = config_from_dict(_merge_config(args))
     if args.hist is not None:
-        histogram_coord(cfg.objective.dimension, args.hist_bin_width, args.hist_coord)
+        histogram_coord(cfg.objective.dimension, bin_width, args.hist_coord)
     for flag, path in (("--csv", args.csv), ("--hist", args.hist)):
         if path is not None:
             _check_output_path(flag, path)
@@ -192,9 +197,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.csv is not None:
         write_report_csv(report, args.csv)
     if args.hist is not None:
-        histogram = solution_histogram(
-            report.per_run, bin_width=args.hist_bin_width, coord=args.hist_coord
-        )
+        histogram = solution_histogram(report.per_run, bin_width=bin_width, coord=args.hist_coord)
         write_histogram_csv(histogram, args.hist)
     print(json.dumps(report_to_dict(report), indent=2))
     return 0
@@ -259,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
                          help="parallel worker processes (default: all cores)")
     p_bench.add_argument("--csv", help="also write one CSV row per run to this path")
     p_bench.add_argument("--hist", help="also write a solution histogram CSV to this path")
-    p_bench.add_argument("--hist-bin-width", dest="hist_bin_width", type=float, default=1e-4,
+    p_bench.add_argument("--hist-bin-width", dest="hist_bin_width", type=float, default=None,
                          help="histogram bin width (default 1e-4)")
     p_bench.add_argument("--hist-coord", dest="hist_coord", type=int, default=None,
                          help="solution coordinate to histogram (default: the only one)")

@@ -82,12 +82,12 @@ rows it is sure of:
   minima are, the bound is tight: where every ``|t| <= 1e-3`` the
   polynomial is off by under ``1e-16``, and the bound lies at most
   ``4e-9`` plus an ulp of the value below it.
-* Where the tighter ``E`` runs.  Only for rows whose ``z * z`` has no entry
-  above ``2^32``, which holds exactly when every ``|z| <= 2^16`` (rounding
-  is monotone and ``2^32`` is a double) and fails for a NaN; one maximum
-  over the whole call decides, and only when it fails are its rows told
-  apart, the others getting ``E = e``.  And only on calls of at least 2048
-  coordinates: on fewer, its passes cost more than the cosines they save.
+* Where the tighter ``E`` runs.  One test per call picks ``E`` for all its
+  rows: the tighter one on calls of at least 2048 coordinates whose
+  ``z * z`` has no entry above ``2^32``, which holds exactly when every
+  ``|z| <= 2^16`` (rounding is monotone and ``2^32`` is a double) and fails
+  for a NaN or an infinity; ``e`` on every other call.  On fewer coordinates
+  the bound's passes cost more than the cosines they save.
 * The rule.  A row is screened out only where its bound plus ``c`` lies
   strictly above its threshold, so its value does too; a value equal to
   its threshold passes the Armijo test and is never screened.  A row with
@@ -247,13 +247,9 @@ _TAYLOR_MIN_COORDS = 2048
 def _ackley_wave_bound(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per row, a number no smaller than the ``exp(mean cos)`` that :func:`_ackley_waves` computes.
 
-    ``w`` holds ``z * z`` and is overwritten.  Rows with a coordinate beyond
-    2^16 in magnitude, or not finite, get ``_ACKLEY_WAVE_MAX``.
+    ``w`` is a temporary of ``z``'s shape and is overwritten.  Every ``|z|``
+    must be at most 2^16, so no coordinate is NaN or infinite.
     """
-    trusted = w.max() <= _TAYLOR_MAX_Z**2
-    if not trusted:
-        ok = np.maximum.reduce(w, axis=1) <= _TAYLOR_MAX_Z**2
-        z = np.clip(z, -_TAYLOR_MAX_Z, _TAYLOR_MAX_Z)  # no inf - inf below
     np.rint(z, out=w)
     np.subtract(z, w, out=w)
     w *= w
@@ -267,8 +263,6 @@ def _ackley_wave_bound(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     np.subtract(1.0 + _TAYLOR_SLACK, bound, out=bound)
     np.exp(bound, out=bound)
     np.minimum(bound, _ACKLEY_WAVE_MAX, out=bound)
-    if not trusted:
-        bound[~ok] = _ACKLEY_WAVE_MAX
     return bound
 
 
@@ -280,7 +274,8 @@ def _ackley_screened(z: np.ndarray, thresholds: np.ndarray, shift_c: float) -> n
     quarter of the rows; below that, every row gets its value.
     """
     out, w = _ackley_radial(z)
-    if z.size < _TAYLOR_MIN_COORDS:
+    # Fails for any |z| above 2^16 and for a NaN or infinite coordinate.
+    if z.size < _TAYLOR_MIN_COORDS or not w.max() <= _TAYLOR_MAX_Z**2:
         low = out - _ACKLEY_WAVE_MAX
     else:
         low = _ackley_wave_bound(z, w)

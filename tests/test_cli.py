@@ -367,6 +367,17 @@ class TestBench:
         assert err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [["--hist-coord", "7"], ["--hist-bin-width", "0.5"]])
+    def test_histogram_options_without_a_histogram_are_refused_before_the_batch_runs(
+        self, capsys, monkeypatch, flags
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", no_runs)
+        rc, out, err = _run(capsys, "bench", "--objective", "ackley", "--d", "2", "--n", "2",
+                            "--m", "2", "--jobs", "1", *flags)
+        assert (rc, out, err) == (2, "", f"error: {flags[0]} needs --hist\n")
 
     @pytest.mark.parametrize("flag", ["--csv", "--hist"])
     @pytest.mark.parametrize("target, problem", [

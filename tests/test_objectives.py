@@ -269,7 +269,7 @@ def _thresholds(want, picks):
     return options[picks, np.arange(want.size)]
 
 
-# The coordinates beyond which a row's Taylor bound falls back to e.
+# The |z| beyond which a whole call is bounded by e instead of the Taylor bound.
 _GUARD = 2.0**16
 # Coordinates where the Taylor bound is tightest (within 1e-8 of an integer)
 # or loosest (half-integers), at the guard and one ulp either side of it,
@@ -381,7 +381,7 @@ def test_the_bound_equals_the_value_at_integer_points(d):
 def test_the_taylor_bound_is_never_above_the_value_near_integer_points(d):
     # Within 1e-2 of an integer the computed cosine strays from the true one
     # by the phase's rounding, which the margin covers up to |z| = 2^16 and
-    # the guard's fallback to e beyond: a threshold equal to the value keeps
+    # the call's fallback to e beyond: a threshold equal to the value keeps
     # every row.  Without its margin the bound screened out about 1200 of the
     # 4096 rows up to 2^16 (d <= 3), and without its guard 1250-1958 of those
     # up to 2^40.
@@ -422,14 +422,34 @@ def test_the_taylor_bound_runs_from_its_coordinate_count_on():
     assert np.array_equal(obj.evaluate_many(points[1:], values[1:] - 1.0), values[1:])
 
 
-def test_the_taylor_bound_of_rows_beyond_the_guard_is_e_without_a_warning():
-    z = np.array([[np.inf, 1.0], [np.nan, -np.inf], [1e200, 0.5], [-0.0, np.nextafter(_GUARD, np.inf)],
-                  [_GUARD, 3.25], [-_GUARD, 0.5], [0.25, 1e-200]])
-    with np.errstate(over="ignore"):
-        w = z * z
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        bound = objectives._ackley_wave_bound(z, w)
-    assert np.all(bound[:4] == _ACKLEY_WAVE_MAX) and np.all(bound[4:] < _ACKLEY_WAVE_MAX)
+def test_a_call_beyond_the_guard_bounds_every_row_by_e_without_a_warning():
+    # One call of 2048 coordinates, long enough for the Taylor bound, with a
+    # row beyond 2^16, a NaN and infinities: the whole call takes e, so the
+    # bound's z - rint(z) never meets an infinity.  Half-integer rows lie
+    # 2.35 above their bound e, so a threshold 3 below screens them;
+    # near-integer rows keep a threshold at their value.  An infinite
+    # coordinate's radial part is -0.0, so its bound, about 20, lies above a
+    # threshold of 0.  Only underflow passes: the radial exp of any point
+    # beyond 2^16 rounds to 0.
+    obj = make_objective("ackley", 2)
+    rng = np.random.default_rng(5)
+    rows = _TAYLOR_MIN_COORDS // 2
+    k = rng.integers(-50, 50, (rows, 2)).astype(float)
+    half = np.arange(rows) % 2 == 0
+    points = np.where(half[:, None], k + 0.5, k + rng.uniform(-1e-3, 1e-3, (rows, 2)))
+    points[:4] = [[2.0**17 + 0.25, 1.0], [np.nan, 0.5], [np.inf, 1.0], [2.0, -np.inf]]
+    with np.errstate(all="ignore"):
+        want = reference_evaluate_many(obj, points)
+    thresholds = np.where(half, want - 3.0, want)
+    thresholds[2:4] = 0.0
+    refuse = mock.patch.object(objectives, "_ackley_wave_bound", side_effect=AssertionError)
+    with np.errstate(all="raise", under="ignore"), refuse as bound:
+        values = obj.evaluate_many(points, thresholds)
+    bound.assert_not_called()
+    screened = values == np.inf
+    # Every even row (rows 0 and 2 included) and the -inf row 3, no other.
+    assert np.all(screened[half]) and screened[3] and np.count_nonzero(screened) == rows // 2 + 1
+    assert np.array_equal(_bits(values[~screened]), _bits(want[~screened]))
 
 
 @pytest.mark.parametrize("name,dim", [("ackley", 2), ("rastrigin", 2)])

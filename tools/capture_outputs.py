@@ -21,9 +21,10 @@ directory, whose path reads ``TMP`` in the captured text:
 * two Ackley batches with a value shift, which the screened kernel's bound
   must carry: ``bench --preset ackley2d-b10-gdbt-n100 --m 10 --c -7.25`` and
   ``bench --preset ackley20d-sbgd21-n50 --m 5 --c 1e6``;
-* an Ackley batch whose trial points cross ``|z| = 2^16``, where the
-  screened kernel's Taylor bound gives way to ``e``: ``bench --objective
-  ackley --d 2 --method gdbt --n 20 --m 3 --init-box=65000,66100``;
+* an Ackley batch whose trial points cross ``|z| = 2^16``, where a ladder
+  call holding a point beyond it is bounded by ``e`` for every point instead
+  of the screened kernel's Taylor bound: ``bench --objective ackley --d 2
+  --method gdbt --n 20 --m 3 --init-box=65000,66100``;
 * for each method, every config key set to a value other than its default,
   by config file (``bench`` and ``run``) and by flags (``bench``);
 * the usage and configuration errors (exit code 2): unknown, mistyped and
@@ -34,8 +35,9 @@ directory, whose path reads ``TMP`` in the captured text:
   one with an infinite bound by config file, a 2-D sweep, sweeps from
   ``nan``, to ``inf`` and over a span that overflows, a malformed seed
   variable, ``--csv`` and ``--hist`` paths in a missing directory, under a
-  file or naming a directory, ``--csv`` and ``--hist`` naming one file, and
-  an infinite ``--hist-bin-width``.
+  file or naming a directory, ``--csv`` and ``--hist`` naming one file, an
+  infinite ``--hist-bin-width``, and ``--hist-coord`` or ``--hist-bin-width``
+  without ``--hist``.
 
 With ``--against OLD_DIR``, the new capture is then compared byte for byte
 with an earlier one, for example of the parent of a change that must not
@@ -124,6 +126,8 @@ ERRORS = {
                           ("under-file", f"{TMP}/not-json.json/out.csv"), ("directory", TMP))},
     "csv-hist-same-file": ["bench", *SMALL_GDBT, "--csv", f"{TMP}/out.csv", "--hist", "out.csv"],
     "hist-bin-width-inf": ["bench", *SMALL_GDBT, "--hist", f"{TMP}/h.csv", "--hist-bin-width", "inf"],
+    "hist-coord-without-hist": ["bench", *SMALL_GDBT, "--hist-coord", "0"],
+    "hist-bin-width-without-hist": ["bench", *SMALL_GDBT, "--hist-bin-width", "0.5"],
 }
 ERROR_ENV = {"seed-env": {SEED_ENV_VAR: "many"}}
 
