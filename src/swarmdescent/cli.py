@@ -1,11 +1,13 @@
 """Command-line front end: single runs, experiment batches, basin sweeps.
 
 Configuration is a flat declarative document (JSON) with one schema shared
-by config files, shipped presets, and command-line flags.  Sources merge in
-fixed precedence: built-in defaults, then ``--preset``, then ``--config``,
-then explicit flags; the ``SWARM_DESCENT_SEED`` environment variable slots
-between config files and the ``--seed`` flag.  The effective configuration
-is echoed in every emitted report.
+by config files, shipped presets, and command-line flags: the table
+:data:`~swarmdescent.harness.CONFIG_KEYS`, which also says which commands,
+methods and objectives read each key.  Sources merge in fixed precedence:
+built-in defaults, then ``--preset``, then ``--config``, then explicit
+flags; the ``SWARM_DESCENT_SEED`` environment variable slots between config
+files and the ``--seed`` flag.  An explicit flag that the run does not read
+is an error.  The effective configuration is echoed in every emitted report.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 """
@@ -23,11 +25,13 @@ from importlib import resources
 import numpy as np
 
 from .harness import (
-    METHOD_NAMES,
+    CONFIG_KEYS,
+    SEED_ENV_VAR,
     basin_sweep,
     config_from_dict,
     histogram_coord,
     method_from_dict,
+    method_name,
     objective_from_dict,
     report_to_dict,
     run_experiment,
@@ -35,39 +39,11 @@ from .harness import (
     write_histogram_csv,
     write_report_csv,
 )
-from .objectives import OBJECTIVE_NAMES
 
 __all__ = ["main"]
 
-SEED_ENV_VAR = "SWARM_DESCENT_SEED"
-
-# The one declarative schema shared by presets, config files, and flags:
-# each key's type and its flag's help text.
-_SCHEMA: dict[str, tuple[type, str]] = {
-    "objective": (str, f"one of: {', '.join(OBJECTIVE_NAMES)}"),
-    "d": (int, "ambient dimension (fixed-dimension objectives infer it)"),
-    "b": (float, "minimizer shift applied along the all-ones direction"),
-    "c": (float, "additive offset of the minimum value"),
-    "mu": (float, "curvature of the quadratic objective"),
-    "method": (str, "optimizer to run"),
-    "n": (int, "number of agents"),
-    "m": (int, "number of independent runs"),
-    "seed": (int, f"base seed (overrides ${SEED_ENV_VAR})"),
-    "init_box": (list, "uniform initialization box, e.g. --init-box=-3,-1"),
-    "h": (float, "step size for gd/adam"),
-    "p": (float, "mass-transition exponent"),
-    "q": (float, "relative-mass exponent in the step rule"),
-    "lambda": (float, "descent parameter"),
-    "gamma": (float, "backtracking shrinkage factor"),
-    "h0": (float, "initial backtracking step"),
-    "tolm": (float, "mass elimination threshold"),
-    "tolmerge": (float, "agent merge distance"),
-    "tolres": (float, "residual stopping threshold"),
-    "max_iters": (int, "iteration cap"),
-}
-
-# The keys no parameter class owns; the classes' own defaults fill the rest.
-_DEFAULTS: dict = {"method": "sbgd", "n": 1, "m": 1, "seed": 0}
+# The keys a preset, a config file or a flag may set.
+_SETTABLE = [key for key, spec in CONFIG_KEYS.items() if spec.help is not None]
 
 
 class ConfigError(ValueError):
@@ -79,18 +55,12 @@ def _validate_document(doc: dict, source: str) -> dict:
         raise ConfigError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     out = {}
     for key, value in doc.items():
-        if key not in _SCHEMA:
-            known = ", ".join(sorted(_SCHEMA))
-            raise ConfigError(f"{source}: unknown key {key!r}; known keys: {known}")
-        expected, _ = _SCHEMA[key]
-        if expected is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = float(value)
-        elif expected is int and isinstance(value, int) and not isinstance(value, bool):
-            value = int(value)
-        elif not isinstance(value, expected) or isinstance(value, bool):
-            raise ConfigError(
-                f"{source}: key {key!r} must be {expected.__name__}, got {value!r}"
-            )
+        if key not in _SETTABLE:
+            raise ConfigError(f"{source}: unknown key {key!r}; known keys: {', '.join(sorted(_SETTABLE))}")
+        expected = CONFIG_KEYS[key].kind
+        if isinstance(value, bool) or not isinstance(value, (int, float) if expected is float else expected):
+            raise ConfigError(f"{source}: key {key!r} must be {expected.__name__}, got {value!r}")
+        value = expected(value)
         # NaN and infinities pass the parameter classes' range checks or make
         # reports that are not strict JSON, so no source may set them.
         if any(isinstance(v, float) and not math.isfinite(v)
@@ -126,10 +96,15 @@ def _parse_init_box(text: str) -> list:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    doc = dict(_DEFAULTS)
-    if getattr(args, "preset", None) is not None:
+    """The run's config document, refusing an explicit flag that nothing in the run reads.
+
+    Presets and config files may hold such keys: one document serves several
+    commands and methods.
+    """
+    doc = {key: spec.default for key, spec in CONFIG_KEYS.items() if spec.default is not None}
+    if args.preset is not None:
         doc.update(load_preset(args.preset))
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
@@ -144,14 +119,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
             doc["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-    flags = {
-        key: value
-        for key, value in vars(args).items()
-        if key in _SCHEMA and value is not None
-    }
+    flags = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None}
     doc.update(_validate_document(flags, "command line"))
     if "objective" not in doc:
         raise ConfigError("an objective is required (--objective or a preset/config file)")
+    run = {"command": args.command, "method": method_name(method_from_dict(doc)),
+           "objective": objective_from_dict(doc).kind.value}
+    for key in flags:
+        for role, name in run.items():
+            readers = getattr(CONFIG_KEYS[key], role + "s")
+            if name not in readers:
+                raise ConfigError(f"--{key.replace('_', '-')} is not read by {role} {name}, only by "
+                                  f"{role}{'s' if len(readers) > 1 else ''} {', '.join(readers)}")
     return doc
 
 
@@ -217,25 +196,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# Flags whose parsing differs from their key's type.
-_FLAG_OPTIONS = {
-    "method": {"choices": METHOD_NAMES},
-    "init_box": {"type": _parse_init_box, "metavar": "LO,HI"},
-}
-
-
-def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
-    kind, text = _SCHEMA[key]
-    options = {"type": kind, **_FLAG_OPTIONS.get(key, {})}
-    parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **options)
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--preset", help="name of a shipped preset to start from")
     parser.add_argument("--config", help="path to a JSON config file")
-    for key in _SCHEMA:
-        if key != "m":  # the batch size: a flag of bench alone
-            _add_flag(parser, key)
+    # A key several commands read is a flag of each, so that one that does not
+    # read it can name those that do; a key one command reads (m) is a flag of
+    # that command alone, after the others.
+    shared = [key for key in _SETTABLE if len(CONFIG_KEYS[key].commands) > 1]
+    for key in shared + [key for key in _SETTABLE if CONFIG_KEYS[key].commands == (command,)]:
+        spec = CONFIG_KEYS[key]
+        options = ({"type": _parse_init_box, "metavar": "LO,HI"} if spec.kind is list
+                   else {"type": spec.kind, "choices": spec.choices})
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=spec.help, **options)
 
 
 @cache
@@ -252,12 +224,11 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one seeded run and print its JSON result")
-    _add_config_flags(p_run)
+    _add_config_flags(p_run, "run")
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a seeded batch and print the JSON report")
-    _add_config_flags(p_bench)
-    _add_flag(p_bench, "m")
+    _add_config_flags(p_bench, "bench")
     p_bench.add_argument("--jobs", type=int, default=None,
                          help="parallel worker processes (default: all cores)")
     p_bench.add_argument("--csv", help="also write one CSV row per run to this path")
@@ -269,7 +240,7 @@ def _parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_sweep = sub.add_parser("sweep", help="map a 1-D grid of starts to terminal points as CSV")
-    _add_config_flags(p_sweep)
+    _add_config_flags(p_sweep, "sweep")
     p_sweep.add_argument("--from", dest="start", type=float, required=True,
                          help="first grid point")
     p_sweep.add_argument("--to", dest="stop", type=float, required=True,

@@ -25,14 +25,15 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
 from .baselines import BaselineMethod, BaselineParams, run_baseline_batch
 from .linesearch import BacktrackParams, backtrack_batch
-from .objectives import Objective, ObjectiveKind, make_objective
+from .objectives import OBJECTIVE_NAMES, Objective, make_objective
 from .swarm import RunResult, SBGDParams, run_sbgd_batch
 
 __all__ = [
@@ -49,21 +50,61 @@ __all__ = [
     "write_report_csv",
 ]
 
-# The config keys of each method, in the order the report echoes them.  A key
-# names a field of the method's parameter class or of its BacktrackParams;
-# "lambda" is BacktrackParams.lam.
-_METHOD_KEYS = {
-    "sbgd": ("p", "q", "lambda", "gamma", "h0", "h_floor", "tolm", "tolmerge", "tolres",
-             "eps_eta", "max_iters"),
-    "gd": ("h", "tolres", "max_iters"),
-    "gdbt": ("lambda", "gamma", "h0", "h_floor", "tolres", "max_iters"),
-    "adam": ("h", "adam_beta1", "adam_beta2", "adam_eps", "tolres", "max_iters"),
-}
-METHOD_NAMES = tuple(_METHOD_KEYS)
-_BACKTRACK_FIELDS = frozenset(f.name for f in fields(BacktrackParams))
+SEED_ENV_VAR = "SWARM_DESCENT_SEED"
+METHOD_NAMES = ("sbgd", *(method.value for method in BaselineMethod))
 
-# The config keys of an objective's shifts and curvature, by Objective field.
-_OBJECTIVE_KEYS = {"b": "shift_b", "c": "shift_c", "mu": "mu"}
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One key of the flat config document that presets, config files and flags share.
+
+    ``help`` is the flag's help, ``None`` for a fixed parameter the report
+    echoes but no source sets; ``choices`` limits the flag's values.  A run
+    reads the key when its command, method and objective are all among the
+    key's.  ``field`` is its attribute path in an :class:`ExperimentConfig`;
+    only keys no parameter class owns have a ``default``.
+    """
+
+    kind: type
+    help: str | None
+    field: str | None = None
+    default: object = None
+    commands: tuple[str, ...] = ("run", "bench", "sweep")
+    methods: tuple[str, ...] = METHOD_NAMES
+    objectives: tuple[str, ...] = OBJECTIVE_NAMES
+    choices: tuple[str, ...] | None = None
+
+
+_BATCH, _LADDER, _SBGD = ("run", "bench"), ("sbgd", "gdbt"), ("sbgd",)
+
+# Every config key, in the order of the flags and of each report echo.
+CONFIG_KEYS = {
+    "objective": ConfigKey(str, f"one of: {', '.join(OBJECTIVE_NAMES)}"),
+    "d": ConfigKey(int, "ambient dimension (fixed-dimension objectives infer it)", "objective.dimension"),
+    "b": ConfigKey(float, "minimizer shift applied along the all-ones direction", "objective.shift_b"),
+    "c": ConfigKey(float, "additive offset of the minimum value", "objective.shift_c"),
+    "mu": ConfigKey(float, "curvature of the quadratic objective", "objective.mu", objectives=("quadratic",)),
+    "method": ConfigKey(str, "optimizer to run", default="sbgd", choices=METHOD_NAMES),
+    "n": ConfigKey(int, "number of agents", "n_agents", 1, _BATCH),
+    "m": ConfigKey(int, "number of independent runs", "n_runs", 1, ("bench",)),
+    "seed": ConfigKey(int, f"base seed (overrides ${SEED_ENV_VAR})", "seed", 0, _BATCH),
+    "init_box": ConfigKey(list, "uniform initialization box, e.g. --init-box=-3,-1", commands=_BATCH),
+    "h": ConfigKey(float, "step size for gd/adam", "method.h", methods=("gd", "adam")),
+    "p": ConfigKey(float, "mass-transition exponent", "method.p", methods=_SBGD),
+    "q": ConfigKey(float, "relative-mass exponent in the step rule", "method.backtrack.q", methods=_SBGD),
+    "lambda": ConfigKey(float, "descent parameter", "method.backtrack.lam", methods=_LADDER),
+    "gamma": ConfigKey(float, "backtracking shrinkage factor", "method.backtrack.gamma", methods=_LADDER),
+    "h0": ConfigKey(float, "initial backtracking step", "method.backtrack.h0", methods=_LADDER),
+    "h_floor": ConfigKey(float, None, "method.backtrack.h_floor", methods=_LADDER),
+    "tolm": ConfigKey(float, "mass elimination threshold", "method.tolm", methods=_SBGD),
+    "tolmerge": ConfigKey(float, "agent merge distance", "method.tolmerge", methods=_SBGD),
+    "adam_beta1": ConfigKey(float, None, "method.adam_beta1", methods=("adam",)),
+    "adam_beta2": ConfigKey(float, None, "method.adam_beta2", methods=("adam",)),
+    "adam_eps": ConfigKey(float, None, "method.adam_eps", methods=("adam",)),
+    "tolres": ConfigKey(float, "residual stopping threshold", "method.tolres"),
+    "eps_eta": ConfigKey(float, None, "method.eps_eta", methods=_SBGD),
+    "max_iters": ConfigKey(int, "iteration cap", "method.max_iters"),
+}
 
 # Fewest runs per pool task.  Starting a pool costs tens of milliseconds, so
 # small batches run faster in this process.  On a 2-vCPU machine (break-even
@@ -341,24 +382,22 @@ def basin_sweep(
     return [(float(x0), float(r.x_sol[0])) for x0, r in zip(grid, results)]
 
 
+def _held(owner: str, reader: str | None = None) -> dict[str, str]:
+    """The keys ``owner`` ("objective" or "method") holds and ``reader`` reads, with their paths in it."""
+    return {key: spec.field.partition(".")[2] for key, spec in CONFIG_KEYS.items()
+            if (spec.field or "").startswith(owner + ".")
+            and (reader is None or reader in getattr(spec, owner + "s"))}
+
+
 def objective_from_dict(doc: dict) -> Objective:
     """The objective a flat config document names; unset keys take the defaults."""
-    shifts = {field: doc[key] for key, field in _OBJECTIVE_KEYS.items() if key in doc}
-    return make_objective(doc["objective"], dimension=doc.get("d"), **shifts)
+    held = _held("objective")
+    return make_objective(doc["objective"], **{path: doc[key] for key, path in held.items() if key in doc})
 
 
-def _objective_to_dict(obj: Objective) -> dict:
-    out = {"name": obj.kind.value, "d": obj.dimension}
-    for key, field in _OBJECTIVE_KEYS.items():
-        if key != "mu" or obj.kind is ObjectiveKind.QUADRATIC:
-            out[key] = getattr(obj, field)
-    return out
-
-
-def _field(key: str) -> tuple[bool, str]:
-    """Whether a method key names a BacktrackParams field, and the field's name."""
-    name = "lam" if key == "lambda" else key
-    return name in _BACKTRACK_FIELDS, name
+def method_name(method: SBGDParams | BaselineParams) -> str:
+    """The config name of the method that ``method`` parameterizes."""
+    return "sbgd" if isinstance(method, SBGDParams) else method.method.value
 
 
 def method_from_dict(doc: dict) -> SBGDParams | BaselineParams:
@@ -368,25 +407,20 @@ def method_from_dict(doc: dict) -> SBGDParams | BaselineParams:
     defaults fill the keys the document leaves unset.
     """
     name = doc["method"].strip().lower()
-    if name not in _METHOD_KEYS:
+    if name not in METHOD_NAMES:
         raise ValueError(f"unknown method {name!r}; expected one of: {', '.join(METHOD_NAMES)}")
     own, backtrack = {}, {}
-    for key in _METHOD_KEYS[name]:
+    for key, path in _held("method", name).items():
         if key in doc:
-            in_backtrack, field = _field(key)
-            (backtrack if in_backtrack else own)[field] = doc[key]
+            parent, _, field = path.rpartition(".")
+            (backtrack if parent else own)[field] = doc[key]
     if name == "sbgd":
         return SBGDParams(backtrack=BacktrackParams(**backtrack), **own)
     return BaselineParams(method=BaselineMethod(name), backtrack=BacktrackParams(**backtrack), **own)
 
 
-def _method_to_dict(method: SBGDParams | BaselineParams) -> dict:
-    name = "sbgd" if isinstance(method, SBGDParams) else method.method.value
-    out = {"name": name}
-    for key in _METHOD_KEYS[name]:
-        in_backtrack, field = _field(key)
-        out[key] = getattr(method.backtrack if in_backtrack else method, field)
-    return out
+# The keys that fill an ExperimentConfig field of their own: n, m and seed.
+_TOP_LEVEL = {key: spec.field for key, spec in CONFIG_KEYS.items() if spec.field and "." not in spec.field}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -400,26 +434,18 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if len(doc["init_box"]) != 2:
             raise ValueError(f"init_box must be [lo, hi], got {doc['init_box']!r}")
         box = {"init_lo": doc["init_box"][0], "init_hi": doc["init_box"][1]}
-    return ExperimentConfig(
-        objective=objective_from_dict(doc),
-        method=method_from_dict(doc),
-        n_agents=doc["n"],
-        n_runs=doc["m"],
-        seed=doc["seed"],
-        **box,
-    )
+    return ExperimentConfig(objective=objective_from_dict(doc), method=method_from_dict(doc),
+                            **{field: doc[key] for key, field in _TOP_LEVEL.items()}, **box)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "objective": _objective_to_dict(cfg.objective),
-        "method": _method_to_dict(cfg.method),
-        "n": cfg.n_agents,
-        "m": cfg.n_runs,
-        "seed": cfg.seed,
-        "init_box": [list(cfg.init_lo), list(cfg.init_hi)],
-        "success_half_width": cfg.success_half_width,
-    }
+    """The config echo: the objective's and the method's names and the keys each reads."""
+    echo = {}
+    for owner, name in (("objective", cfg.objective.kind.value), ("method", method_name(cfg.method))):
+        echo[owner] = {"name": name, **{key: attrgetter(f"{owner}.{path}")(cfg)
+                                        for key, path in _held(owner, name).items()}}
+    return {**echo, **{key: getattr(cfg, field) for key, field in _TOP_LEVEL.items()},
+            "init_box": [list(cfg.init_lo), list(cfg.init_hi)], "success_half_width": cfg.success_half_width}
 
 
 def run_result_to_dict(result: RunResult, success: bool) -> dict:

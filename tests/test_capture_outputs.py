@@ -4,6 +4,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from test_cli import _ALL_KEYS, _READS
+
+from swarmdescent.harness import CONFIG_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +59,12 @@ def test_against_exits_1_when_the_captures_differ(tmp_path, monkeypatch, capsys)
     with pytest.raises(SystemExit) as exc:
         capture.main([str(new), "--against", str(tmp_path / "absent")])
     assert exc.value.code == 2
+
+
+def test_every_settable_key_has_an_every_key_capture_and_test():
+    # A key added to the config table without a value in both every-key
+    # documents would reach no capture and no echo test.
+    capture = _capture_outputs()
+    settable = {key for key, spec in CONFIG_KEYS.items() if spec.help is not None}
+    assert settable - {"method"} == set(capture.ALL_KEYS) == set(_ALL_KEYS)
+    assert capture.READS == _READS

@@ -11,6 +11,7 @@ import pytest
 
 from swarmdescent import cli
 from swarmdescent.cli import SEED_ENV_VAR, load_preset, main, preset_names
+from swarmdescent.harness import CONFIG_KEYS
 
 
 @pytest.fixture(autouse=True)
@@ -156,11 +157,12 @@ _ALL_KEYS = {
     "gamma": 0.8, "h0": 0.5, "tolm": 0.002, "tolmerge": 0.01, "tolres": 0.001, "max_iters": 50,
 }
 _METHOD_KEYS = ("h", "p", "q", "lambda", "gamma", "h0", "tolm", "tolmerge", "tolres", "max_iters")
-# The method keys each method reads; it accepts and ignores the others.
+# The method keys each method reads, in the CLI's order of the methods.  A
+# flag for any other method key is refused; a config file may hold it.
 _READS = {
     "sbgd": ("p", "q", "lambda", "gamma", "h0", "tolm", "tolmerge", "tolres", "max_iters"),
-    "gdbt": ("lambda", "gamma", "h0", "tolres", "max_iters"),
     "gd": ("h", "tolres", "max_iters"),
+    "gdbt": ("lambda", "gamma", "h0", "tolres", "max_iters"),
     "adam": ("h", "tolres", "max_iters"),
 }
 
@@ -177,7 +179,7 @@ class TestEveryKey:
         else:
             argv = ["bench", "--init-box=-2,1", "--jobs", "1"]
             for key, value in doc.items():
-                if key != "init_box":
+                if key != "init_box" and (key not in _METHOD_KEYS or key in _READS[method]):
                     argv += [f"--{key.replace('_', '-')}", str(value)]
         rc, out, _ = _run(capsys, *argv)
         assert rc == 0
@@ -190,7 +192,87 @@ class TestEveryKey:
         assert echoed == {key: _ALL_KEYS[key] for key in _READS[method]}
 
 
-_FLOAT_KEYS = sorted(key for key, (kind, _) in cli._SCHEMA.items() if kind is float)
+def _no_runs(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+def _flag(key):
+    value = _ALL_KEYS[key]
+    if key == "init_box":
+        return [f"--init-box={value[0]},{value[1]}"]
+    return [f"--{key.replace('_', '-')}", str(value)]
+
+
+def _readers(role, readers):
+    return f"{role}{'s' if len(readers) > 1 else ''} {', '.join(readers)}"
+
+
+_QUAD_RUN = ["run", "--objective", "quadratic", "--d", "1", "--n", "2"]
+_SWEEP = ["sweep", "--objective", "ackley1d", "--from=-3", "--to=3", "--steps", "5"]
+# Each key a run does not read: the run without it, the key, and who reads it instead.
+_UNREAD = [
+    *[([*_QUAD_RUN, "--method", method], key,
+       f"method {method}, only by {_readers('method', [m for m in _READS if key in _READS[m]])}")
+      for method in _READS for key in _METHOD_KEYS if key not in _READS[method]],
+    (["run", "--objective", "ackley1d", "--n", "2"], "mu", "objective ackley1d, only by objective quadratic"),
+    *[(_SWEEP, key, "command sweep, only by commands run, bench") for key in ("n", "seed", "init_box")],
+]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv, key, readers", _UNREAD,
+                             ids=[f"{key}-{readers.split(',')[0].replace(' ', '-')}" for _, key, readers in _UNREAD])
+    def test_a_flag_the_run_does_not_read_is_refused_and_the_config_key_is_ignored(
+        self, capsys, tmp_path, monkeypatch, argv, key, readers
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_experiment", _no_runs)
+            patch.setattr(cli, "basin_sweep", _no_runs)
+            rc, out, err = _run(capsys, *argv, *_flag(key))
+        assert (rc, out, err) == (2, "", f"error: --{key.replace('_', '-')} is not read by {readers}\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: _ALL_KEYS[key]}))
+        rc, with_key, _ = _run(capsys, *argv, "--config", str(cfg))
+        assert rc == 0
+        assert with_key == _run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["run", "--objective", "ackley", "--d", "2", "--method", "gdbt", "--n", "3",
+          "--tolm", "0.5", "--p", "7", "--q", "3", "--tolmerge", "9"],
+         "error: --p is not read by method gdbt, only by method sbgd\n"),
+        (["run", "--objective", "ackley", "--d", "2", "--n", "3", "--method", "sbgd", "--h", "7"],
+         "error: --h is not read by method sbgd, only by methods gd, adam\n"),
+        (["run", "--objective", "ackley", "--d", "2", "--n", "3", "--mu", "5"],
+         "error: --mu is not read by objective ackley, only by objective quadratic\n"),
+        (["sweep", "--objective", "ackley1d", "--from", "0", "--to", "1", "--steps", "3",
+          "--n", "3", "--seed", "5", "--init-box=7,8"],
+         "error: --n is not read by command sweep, only by commands run, bench\n"),
+    ], ids=["gdbt-swarm-keys", "sbgd-h", "mu-ackley", "sweep-batch-keys"])
+    def test_the_reported_reproducers_are_refused_before_any_run(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setattr(cli, "run_experiment", _no_runs)
+        monkeypatch.setattr(cli, "basin_sweep", _no_runs)
+        assert _run(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--objective", "ackley1d", "--mu=nan"], "error: command line: key 'mu' must be finite, got nan\n"),
+        (["--objective", "ackley1d", "--p=-inf"], "error: command line: key 'p' must be finite, got -inf\n"),
+        (["--objective", "griewank", "--mu", "5"],
+         "error: unknown objective 'griewank'; expected one of: flatbasin1d, ackley1d, rastrigin1d, ackley, "
+         "rastrigin, dropwave, rosenbrock2d, quadratic\n"),
+    ], ids=["mu-nan", "p-inf", "unknown-objective"])
+    def test_finiteness_and_objective_errors_come_first(self, capsys, flags, message):
+        argv = ["bench", "--method", "gdbt", "--n", "3", "--m", "2", "--seed", "1", "--jobs", "1", *flags]
+        assert _run(capsys, *argv) == (2, "", message)
+
+    def test_an_unknown_method_comes_first(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "newton"}))
+        rc, out, err = _run(capsys, "run", "--objective", "ackley1d", "--config", str(cfg), "--tolm", "1")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: unknown method 'newton'; expected one of: sbgd, gd, gdbt, adam")
+
+
+_FLOAT_KEYS = sorted(key for key, spec in CONFIG_KEYS.items() if spec.kind is float and spec.help is not None)
 
 
 class TestNonFiniteValues:

@@ -26,7 +26,9 @@ directory, whose path reads ``TMP`` in the captured text:
   of the screened kernel's Taylor bound: ``bench --objective ackley --d 2
   --method gdbt --n 20 --m 3 --init-box=65000,66100``;
 * for each method, every config key set to a value other than its default,
-  by config file (``bench`` and ``run``) and by flags (``bench``);
+  by config file (``bench`` and ``run``) and by flags (``bench``); the flags
+  case passes only the method keys that method reads, since a flag that the
+  run does not read is an error;
 * the usage and configuration errors (exit code 2): unknown, mistyped and
   missing keys, objectives, presets and methods, a preset named by a path, a
   config file that is not JSON and one that holds a JSON array, malformed
@@ -36,8 +38,10 @@ directory, whose path reads ``TMP`` in the captured text:
   ``nan``, to ``inf`` and over a span that overflows, a malformed seed
   variable, ``--csv`` and ``--hist`` paths in a missing directory, under a
   file or naming a directory, ``--csv`` and ``--hist`` naming one file, an
-  infinite ``--hist-bin-width``, and ``--hist-coord`` or ``--hist-bin-width``
-  without ``--hist``.
+  infinite ``--hist-bin-width``, ``--hist-coord`` or ``--hist-bin-width``
+  without ``--hist``, and flags the run does not read: swarm keys to
+  ``gdbt``, ``--h`` to ``sbgd``, ``--mu`` to ``ackley``, and ``--n``,
+  ``--seed`` and ``--init-box`` to a sweep.
 
 With ``--against OLD_DIR``, the new capture is then compared byte for byte
 with an earlier one, for example of the parent of a change that must not
@@ -70,6 +74,15 @@ ALL_KEYS = {
     "seed": 4, "init_box": [-2.0, 1.0], "h": 0.05, "p": 1.5, "q": 2.0, "lambda": 0.3,
     "gamma": 0.8, "h0": 0.5, "tolm": 0.002, "tolmerge": 0.01, "tolres": 0.001, "max_iters": 50,
 }
+
+# The method keys each method reads.
+READS = {
+    "sbgd": ("p", "q", "lambda", "gamma", "h0", "tolm", "tolmerge", "tolres", "max_iters"),
+    "gd": ("h", "tolres", "max_iters"),
+    "gdbt": ("lambda", "gamma", "h0", "tolres", "max_iters"),
+    "adam": ("h", "tolres", "max_iters"),
+}
+METHOD_KEYS = {key for keys in READS.values() for key in keys}
 
 # Config files written into each command's directory, by file name.
 CONFIG_FILES = {
@@ -128,6 +141,12 @@ ERRORS = {
     "hist-bin-width-inf": ["bench", *SMALL_GDBT, "--hist", f"{TMP}/h.csv", "--hist-bin-width", "inf"],
     "hist-coord-without-hist": ["bench", *SMALL_GDBT, "--hist-coord", "0"],
     "hist-bin-width-without-hist": ["bench", *SMALL_GDBT, "--hist-bin-width", "0.5"],
+    "unread-gdbt-swarm-keys": ["run", "--objective", "ackley", "--d", "2", "--method", "gdbt", "--n", "3",
+                               "--tolm", "0.5", "--p", "7", "--q", "3", "--tolmerge", "9"],
+    "unread-sbgd-h": ["run", "--objective", "ackley", "--d", "2", "--n", "3", "--method", "sbgd", "--h", "7"],
+    "unread-mu-ackley": ["run", "--objective", "ackley", "--d", "2", "--n", "3", "--mu", "5"],
+    "unread-sweep-batch-keys": ["sweep", "--objective", "ackley1d", "--from", "0", "--to", "1", "--steps", "3",
+                                "--n", "3", "--seed", "5", "--init-box=7,8"],
 }
 ERROR_ENV = {"seed-env": {SEED_ENV_VAR: "many"}}
 
@@ -177,8 +196,8 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
         config = f"{TMP}/all-keys-{method}.json"
         out[f"all-keys-{method}-bench-config"] = ["bench", "--config", config, "--jobs", "1"]
         out[f"all-keys-{method}-run-config"] = ["run", "--config", config]
-        out[f"all-keys-{method}-bench-flags"] = [
-            "bench", *_flags({**ALL_KEYS, "method": method}), "--jobs", "1"]
+        read = {key: value for key, value in ALL_KEYS.items() if key not in METHOD_KEYS or key in READS[method]}
+        out[f"all-keys-{method}-bench-flags"] = ["bench", *_flags({**read, "method": method}), "--jobs", "1"]
     out = {stem: (argv, {}) for stem, argv in out.items()}
     for name, argv in ERRORS.items():
         out[f"error-{name}"] = (argv, ERROR_ENV.get(name, {}))
