@@ -103,17 +103,16 @@ class _Sweeps:
     def advance(self):
         params = self.params
         bt = params.backtrack
-        idx = np.nonzero(self.active)[0]
+        idx = self.active.nonzero()[0]
         x_act = self.X.take(idx, axis=0)
         grads = self.obj.gradient_many(x_act)
-        runs = self.runs[idx]
-        objective = np.zeros(self.n_runs, dtype=int)
+        runs = self.runs.take(idx)
+        # Each agent's ladder evaluations; GD and Adam make none.
+        tried = np.zeros(idx.size, dtype=int)
         if params.method is BaselineMethod.GD_FIXED:
             x_next = x_act - params.h * grads
         elif params.method is BaselineMethod.GD_BACKTRACK:
-            tried = np.zeros(idx.size, dtype=int)
-            h, f_new, _ = backtrack_batch(self.obj, x_act, grads, bt.lam, bt, self.f[idx], counts=tried)
-            objective = np.bincount(runs, weights=tried, minlength=self.n_runs).astype(int)
+            h, f_new, _ = backtrack_batch(self.obj, x_act, grads, bt.lam, bt, self.f.take(idx), counts=tried)
             x_next = x_act - h[:, None] * grads
             self.f[idx] = f_new
         else:
@@ -127,9 +126,10 @@ class _Sweeps:
         self.X[idx] = x_next
         still = residual >= params.tolres
         self.active[idx] = still
+        objective = np.bincount(runs, weights=tried, minlength=self.n_runs).astype(int)
         gradient = np.bincount(runs, minlength=self.n_runs)
         stops = {}
-        if not still.all():
+        if np.count_nonzero(still) < still.size:
             # The runs that stepped this sweep and have no active agent left.
             left = np.bincount(self.runs[self.active], minlength=self.n_runs)
             stops = dict.fromkeys(np.flatnonzero((gradient > 0) & (left == 0)).tolist(), StopReason.RESIDUAL)
@@ -137,14 +137,14 @@ class _Sweeps:
 
     def solutions(self, runs: list[int]):
         n = self.agents
-        rows = (np.array(runs)[:, None] * n + np.arange(n)).ravel()
+        rows = (np.multiply(runs, n)[:, None] + np.arange(n)).ravel()
         X = self.X.take(rows, axis=0)
         if self.f is None:
             f, evals = self.obj.evaluate_many(X), n
         else:
             f, evals = self.f.take(rows), 0
-        # Diverged agents (nan height) must never be picked as the best one.
-        best = np.where(np.isnan(f), np.inf, f).reshape(-1, n).argmin(axis=1) + np.arange(0, rows.size, n)
+        # Diverged agents (nan height) must never be picked as the best one: fmin reads NaN as inf.
+        best = np.fmin(f, np.inf).reshape(-1, n).argmin(axis=1) + np.arange(0, rows.size, n)
         return X.take(best, axis=0), f.take(best), evals
 
 

@@ -95,11 +95,12 @@ def _parse_init_box(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected numeric LO,HI, got {text!r}") from None
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """The run's config document, refusing an explicit flag that nothing in the run reads.
+def _merge_config(args: argparse.Namespace) -> tuple:
+    """The run's config document, and the objective and method it names.
 
-    Presets and config files may hold such keys: one document serves several
-    commands and methods.
+    An explicit flag that nothing in the run reads is refused.  Presets and
+    config files may hold such keys: one document serves several commands
+    and methods.
     """
     doc = {key: spec.default for key, spec in CONFIG_KEYS.items() if spec.default is not None}
     if args.preset is not None:
@@ -123,21 +124,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
     doc.update(_validate_document(flags, "command line"))
     if "objective" not in doc:
         raise ConfigError("an objective is required (--objective or a preset/config file)")
-    run = {"command": args.command, "method": method_name(method_from_dict(doc)),
-           "objective": objective_from_dict(doc).kind.value}
+    method = method_from_dict(doc)
+    objective = objective_from_dict(doc)
+    run = {"command": args.command, "method": method_name(method), "objective": objective.kind.value}
     for key in flags:
         for role, name in run.items():
             readers = getattr(CONFIG_KEYS[key], role + "s")
             if name not in readers:
                 raise ConfigError(f"--{key.replace('_', '-')} is not read by {role} {name}, only by "
                                   f"{role}{'s' if len(readers) > 1 else ''} {', '.join(readers)}")
-    return doc
+    return doc, objective, method
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    doc = _merge_config(args)
+    doc, objective, method = _merge_config(args)
     doc["m"] = 1
-    report = report_to_dict(run_experiment(config_from_dict(doc), jobs=1))
+    report = report_to_dict(run_experiment(config_from_dict(doc, objective, method), jobs=1))
     print(json.dumps({"config": report["config"], "result": report["per_run"][0]}, indent=2))
     return 0
 
@@ -164,7 +166,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if value is not None:
                 raise ConfigError(f"{flag} needs --hist")
     bin_width = 1e-4 if args.hist_bin_width is None else args.hist_bin_width
-    cfg = config_from_dict(_merge_config(args))
+    cfg = config_from_dict(*_merge_config(args))
     if args.hist is not None:
         histogram_coord(cfg.objective.dimension, bin_width, args.hist_coord)
     for flag, path in (("--csv", args.csv), ("--hist", args.hist)):
@@ -183,7 +185,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    doc = _merge_config(args)
+    _, objective, method = _merge_config(args)
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     # A NaN or infinite end makes the span NaN or infinite too.
@@ -191,8 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--from and --to must be finite, with a finite span between them, "
                           f"got --from={args.start!r} --to={args.stop!r}")
     grid = np.linspace(args.start, args.stop, args.steps)
-    for x0, x_final in basin_sweep(objective_from_dict(doc), method_from_dict(doc), grid):
-        print(f"{x0!r},{x_final!r}")
+    print("\n".join(f"{x0!r},{x_final!r}" for x0, x_final in basin_sweep(objective, method, grid)))
     return 0
 
 

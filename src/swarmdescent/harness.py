@@ -26,6 +26,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from operator import attrgetter
 
@@ -379,20 +380,21 @@ def basin_sweep(
     if grid.size < 1:
         raise ValueError("starts must be non-empty")
     results = _run_batch(obj, method, grid.reshape(-1, 1, 1))
-    return [(float(x0), float(r.x_sol[0])) for x0, r in zip(grid, results)]
+    return [(x0, float(r.x_sol[0])) for x0, r in zip(grid.tolist(), results)]
 
 
-def _held(owner: str, reader: str | None = None) -> dict[str, str]:
-    """The keys ``owner`` ("objective" or "method") holds and ``reader`` reads, with their paths in it."""
-    return {key: spec.field.partition(".")[2] for key, spec in CONFIG_KEYS.items()
-            if (spec.field or "").startswith(owner + ".")
-            and (reader is None or reader in getattr(spec, owner + "s"))}
+@cache
+def _held(owner: str, reader: str | None = None) -> tuple[tuple[str, str], ...]:
+    """The keys ``owner`` ("objective" or "method") holds and ``reader`` reads, each with its path in it."""
+    return tuple((key, spec.field.partition(".")[2]) for key, spec in CONFIG_KEYS.items()
+                 if (spec.field or "").startswith(owner + ".")
+                 and (reader is None or reader in getattr(spec, owner + "s")))
 
 
 def objective_from_dict(doc: dict) -> Objective:
     """The objective a flat config document names; unset keys take the defaults."""
     held = _held("objective")
-    return make_objective(doc["objective"], **{path: doc[key] for key, path in held.items() if key in doc})
+    return make_objective(doc["objective"], **{path: doc[key] for key, path in held if key in doc})
 
 
 def method_name(method: SBGDParams | BaselineParams) -> str:
@@ -410,7 +412,7 @@ def method_from_dict(doc: dict) -> SBGDParams | BaselineParams:
     if name not in METHOD_NAMES:
         raise ValueError(f"unknown method {name!r}; expected one of: {', '.join(METHOD_NAMES)}")
     own, backtrack = {}, {}
-    for key, path in _held("method", name).items():
+    for key, path in _held("method", name):
         if key in doc:
             parent, _, field = path.rpartition(".")
             (backtrack if parent else own)[field] = doc[key]
@@ -423,18 +425,21 @@ def method_from_dict(doc: dict) -> SBGDParams | BaselineParams:
 _TOP_LEVEL = {key: spec.field for key, spec in CONFIG_KEYS.items() if spec.field and "." not in spec.field}
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
+def config_from_dict(doc: dict, objective: Objective | None = None,
+                     method: SBGDParams | BaselineParams | None = None) -> ExperimentConfig:
     """The experiment a flat config document describes.
 
     ``n``, ``m`` and ``seed`` are required; the other keys the document
     leaves unset take the defaults of the classes they configure.
+    ``objective`` and ``method``, when given, are the ones it names, built.
     """
     box = {}
     if "init_box" in doc:
         if len(doc["init_box"]) != 2:
             raise ValueError(f"init_box must be [lo, hi], got {doc['init_box']!r}")
         box = {"init_lo": doc["init_box"][0], "init_hi": doc["init_box"][1]}
-    return ExperimentConfig(objective=objective_from_dict(doc), method=method_from_dict(doc),
+    return ExperimentConfig(objective=objective_from_dict(doc) if objective is None else objective,
+                            method=method_from_dict(doc) if method is None else method,
                             **{field: doc[key] for key, field in _TOP_LEVEL.items()}, **box)
 
 
@@ -443,7 +448,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     echo = {}
     for owner, name in (("objective", cfg.objective.kind.value), ("method", method_name(cfg.method))):
         echo[owner] = {"name": name, **{key: attrgetter(f"{owner}.{path}")(cfg)
-                                        for key, path in _held(owner, name).items()}}
+                                        for key, path in _held(owner, name)}}
     return {**echo, **{key: getattr(cfg, field) for key, field in _TOP_LEVEL.items()},
             "init_box": [list(cfg.init_lo), list(cfg.init_hi)], "success_half_width": cfg.success_half_width}
 

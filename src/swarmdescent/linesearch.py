@@ -34,15 +34,22 @@ rungs, enough for most of them to accept in one call.  The floor stops at
 with: few agents in low dimension accept well inside it, and longer blocks
 would mostly evaluate rungs past their accepted ones.
 
-Each block gathers the searching agents' rows of the inputs with ``take``,
-which numpy does several times faster than fancy or boolean indexing of an
-``(m, d)`` array, and computes in place.  The trial points ``x - h g``
-are formed in the one ``(k, m, d)`` array that holds ``h g``, and the
-Armijo thresholds ``f - c h |g|^2`` in one ``(k, m)`` array; when every
-agent shares ``c``, ``c h`` is one product per rung rather than one per
-agent and rung.  The thresholds are formed before the block's evaluation
-and passed to it, so a landscape may return ``+inf``, without computing
-the value, for a trial point it can show the Armijo test rejects (the
+Each block reads the searching agents' rows of the inputs (positions,
+gradients, heights, ``|g|^2``, which the caller may pass in, and per-agent
+coefficients) and computes in place, never writing into the inputs.  The
+first block, where every agent is still searching, reads the caller's
+arrays as they are.  A block in which some agents accept and others go on
+copies the rows of those left with ``take``, which numpy does several
+times faster than fancy or boolean indexing of an ``(m, d)`` array, and a
+block in which none accepts copies nothing.  Calls of few agents are
+mostly one block, which copies nothing: the 114 ladder calls of a seed-900
+``sweep-1d`` round make 116 blocks.  The trial points ``x - h g`` are
+formed in the one ``(k, m, d)`` array that holds ``h g``, and the Armijo
+thresholds ``f - c h |g|^2`` in one ``(k, m)`` array; when every agent
+shares ``c``, ``c h`` is one product per rung rather than one per agent
+and rung.  The thresholds are formed before the block's evaluation and
+passed to it, so a landscape may return ``+inf``, without computing the
+value, for a trial point it can show the Armijo test rejects (the
 ``ackley`` landscape skips its cosines; see ``objectives``): the point is
 rejected either way, and the value of a rejected rung is never used.
 Each operation keeps its operands and order, so every bit is that of the
@@ -52,16 +59,11 @@ not mapped afresh: a ``gdbt-ackley2d`` round (4000 agents) takes fewer
 than half the minor page faults it took with a fresh array for each step
 of those expressions.
 
-The rows are gathered anew in every block and live only while its trial
-points are formed.  Copies kept from block to block would skip only the
-gathers of blocks in which no agent accepts: in one ``gdbt-ackley2d``
-round that is 73 of 193 blocks, and the other 120 must gather again
-anyway.  A prototype that kept them gained no time and raised that
-workload's peak memory by 1.2%.  The set of searching agents shrinks in
-the blocks where some agent accepts, and the search ends as soon as it is
-empty.  Each agent's count is written once: when it accepts, as the rungs
-walked before its block plus its rung within it, and for an agent still
-searching when the ladder runs out, as the whole ladder.
+The set of searching agents shrinks in the blocks where some agent
+accepts, and the search ends as soon as it is empty.  Each agent's count
+is written once: when it accepts, as the rungs walked before its block
+plus its rung within it, and for an agent still searching when the ladder
+runs out, as the whole ladder.
 """
 
 from __future__ import annotations
@@ -162,6 +164,8 @@ def _ladder(h0: float, gamma: float, h_floor: float) -> np.ndarray:
 def _first_accepted(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each column of ``accept`` holds a true entry, and the row of its first one.
 
+    ``argmax`` gives row 0 to a column with no true entry, so a column has
+    one where its first row is true or its ``argmax`` is past it.
     ``argmax(axis=0)`` walks the columns one at a time, which is slow for
     many short columns.  There, row ``r`` of ``k`` scores ``k - r`` where it
     is true, and the best score of a column marks the same row.  The scores
@@ -170,10 +174,11 @@ def _first_accepted(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k, m = accept.shape
     if m <= _ARGMAX_COLUMNS:
-        return accept.any(axis=0), accept.argmax(axis=0)
+        first = accept.argmax(axis=0)
+        return accept[0] | (first != 0), first
     ranks = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))
     score = (accept.view(np.uint8) * ranks[:, None]).max(axis=0)
-    return score > 0, k - score
+    return score > 0, k - score.astype(int)
 
 
 def backtrack_batch(
@@ -184,6 +189,7 @@ def backtrack_batch(
     params: BacktrackParams,
     f_current: np.ndarray,
     *,
+    g_sq: np.ndarray | None = None,
     counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Run the ladder for a batch of agents at once.
@@ -198,8 +204,10 @@ def backtrack_batch(
         Effective descent coefficient per agent.
     f_current : ndarray, shape (n,)
         Objective values at ``positions``, already known to the caller.
-    counts : ndarray, shape (n,), optional
-        Integer output array; receives each agent's share of ``n_evals``.
+    g_sq : ndarray, shape (n,), optional
+        ``np.add.reduce(grads * grads, axis=1)``, computed here if not given.
+    counts : integer ndarray, shape (n,), optional
+        Output array; receives each agent's share of ``n_evals``.
 
     Returns
     -------
@@ -225,13 +233,16 @@ def backtrack_batch(
     f_base = np.asarray(f_current, dtype=float)
     if f_base.shape != (n,):
         raise ValueError(f"f_current must have shape ({n},), got {f_base.shape}")
-
-    g_sq = np.add.reduce(G * G, axis=1)
-    h_out = np.zeros(n)
-    f_out = f_base.copy()
+    g_sq = np.add.reduce(G * G, axis=1) if g_sq is None else np.asarray(g_sq, dtype=float)
+    if g_sq.shape != (n,):
+        raise ValueError(f"g_sq must have shape ({n},), got {g_sq.shape}")
     tried = np.empty(n, dtype=int) if counts is None else counts
-    # The agents still searching.
-    idx = np.arange(n)
+    if not (isinstance(tried, np.ndarray) and tried.shape == (n,) and tried.dtype.kind in "iu"):
+        raise ValueError(f"counts must be an integer array of shape ({n},), got {type(tried).__name__} "
+                         f"of {np.asarray(tried).dtype} and shape {np.shape(tried)}")
+    h_out, f_out = np.zeros(n), f_base.copy()
+    # The searching agents and their rows: the inputs themselves until some accept.
+    idx, Xs, Gs, gs, fs, cs = np.arange(n), X, G, g_sq, f_base, coeff
     prefix = _ladder(params.h0, params.gamma, params.h_floor)
     # The rung after the cached prefix, 0 when the ladder ends within it.
     h_next = _shrink(float(prefix[-1]), params.gamma) if prefix.size == _MAX_POINTS else 0.0
@@ -251,28 +262,32 @@ def backtrack_batch(
             h_block = np.concatenate((h_block, rungs))
         k = h_block.size
         # The trial points x - h g, formed in the array that holds h g.
-        trial = h_block[:, None, None] * G.take(idx, axis=0)
-        np.subtract(X.take(idx, axis=0), trial, out=trial)
+        trial = h_block[:, None, None] * Gs
+        np.subtract(Xs, trial, out=trial)
         # The Armijo thresholds f - c h |g|^2, formed in one (k, m) array.
         if coeff.ndim:
-            bound = coeff.take(idx) * h_block[:, None]
-            bound *= g_sq.take(idx)
+            bound = cs * h_block[:, None]
+            bound *= gs
         else:
-            bound = (coeff * h_block)[:, None] * g_sq.take(idx)
-        np.subtract(f_base.take(idx), bound, out=bound)
-        f_trial = obj.evaluate_many(trial.reshape(-1, d), bound.reshape(-1))
-        accept = f_trial.reshape(k, m) <= bound
-        hit, first = _first_accepted(accept)
+            bound = (coeff * h_block)[:, None] * gs
+        np.subtract(fs, bound, out=bound)
+        f_trial = obj.evaluate_many(trial.reshape(-1, d), bound.reshape(-1)).reshape(k, m)
+        hit, first = _first_accepted(f_trial <= bound)
         cols = hit.nonzero()[0]
         if cols.size:
-            first = first.take(cols).astype(int)
+            first = first.take(cols)
             acc = idx.take(cols)
             h_out[acc] = h_block.take(first)
-            f_out[acc] = f_trial.take(first * m + cols)
+            f_out[acc] = f_trial[first, cols]
             tried[acc] = first + (walked + 1)
-            idx = idx[~hit]
+            if cols.size == m:
+                break
+            rest = (~hit).nonzero()[0]
+            idx, Xs, Gs, gs, fs = (a.take(rest, axis=0) for a in (idx, Xs, Gs, gs, fs))
+            cs = cs.take(rest) if coeff.ndim else cs
         walked += k
         block *= 2
-    # The agents left searching walked the whole ladder and stalled.
-    tried[idx] = walked
+    else:
+        # The ladder ran out: the agents left searching walked all of it and stalled.
+        tried[idx] = walked
     return h_out, f_out, int(np.add.reduce(tried))

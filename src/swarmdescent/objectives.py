@@ -105,6 +105,7 @@ rows it is sure of:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -434,30 +435,31 @@ class Objective:
             raise ValueError(f"kind must be an ObjectiveKind, got {self.kind!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        fixed = _LANDSCAPES[self.kind].dimension
-        if fixed is not None and self.dimension != fixed:
+        landscape = _LANDSCAPES[self.kind]
+        if landscape.dimension is not None and self.dimension != landscape.dimension:
             raise ValueError(
-                f"{self.kind.value} is defined in dimension {fixed}, got {self.dimension}"
+                f"{self.kind.value} is defined in dimension {landscape.dimension}, got {self.dimension}"
             )
-        if not np.isfinite(self.shift_b) or not np.isfinite(self.shift_c):
+        if not math.isfinite(self.shift_b) or not math.isfinite(self.shift_c):
             raise ValueError("shifts must be finite")
-        if self.kind is ObjectiveKind.QUADRATIC and not self.mu > 0.0:
+        quadratic = self.kind is ObjectiveKind.QUADRATIC
+        if quadratic and not self.mu > 0.0:
             raise ValueError(f"quadratic curvature mu must be positive, got {self.mu}")
+        # Per objective, not per call.  z = x only for a shift of +0.0: x - 0.0
+        # is x bit for bit, but x - (-0.0) turns -0.0 into +0.0.
+        object.__setattr__(self, "_landscape", landscape)
+        object.__setattr__(self, "_params", (self.mu,) if quadratic else ())
+        object.__setattr__(self, "_unshifted", math.copysign(1.0, self.shift_b) == 1.0 and not self.shift_b)
 
     @property
     def minimizer(self) -> np.ndarray:
         """Global minimizer as a ``(d,)`` vector."""
-        return np.full(self.dimension, _LANDSCAPES[self.kind].x_star) + self.shift_b
+        return np.full(self.dimension, self._landscape.x_star) + self.shift_b
 
     @property
     def min_value(self) -> float:
         """Value of the objective at :attr:`minimizer`."""
-        return _LANDSCAPES[self.kind].f_star + self.shift_c
-
-    @property
-    def _params(self) -> tuple:
-        # The quadratic is the one landscape with a parameter of its own.
-        return (self.mu,) if self.kind is ObjectiveKind.QUADRATIC else ()
+        return self._landscape.f_star + self.shift_c
 
     def _as_point(self, x) -> np.ndarray:
         vec = np.atleast_1d(np.asarray(x, dtype=float))
@@ -465,11 +467,12 @@ class Objective:
             raise ValueError(f"expected a point of shape ({self.dimension},), got {vec.shape}")
         return vec
 
-    def _as_batch(self, points) -> np.ndarray:
+    def _shifted(self, points) -> np.ndarray:
+        """``z = x - shift_b`` for an ``(n, d)`` batch: the caller's array for a shift of +0.0."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError(f"expected points of shape (n, {self.dimension}), got {pts.shape}")
-        return pts
+        return pts if self._unshifted else pts - self.shift_b
 
     def evaluate(self, x) -> float:
         """Objective value at a single point ``x``."""
@@ -488,11 +491,12 @@ class Objective:
         The ladder passes its thresholds, since it only compares the values
         with them.
         """
-        z = self._as_batch(points) - self.shift_b
-        if thresholds is not None and np.shape(thresholds) != z.shape[:1]:
-            raise ValueError(
-                f"thresholds must have shape ({z.shape[0]},), got {np.shape(thresholds)}")
-        landscape = _LANDSCAPES[self.kind]
+        z = self._shifted(points)
+        if thresholds is not None:
+            thresholds = np.asarray(thresholds)
+            if thresholds.shape != z.shape[:1]:
+                raise ValueError(f"thresholds must have shape ({z.shape[0]},), got {thresholds.shape}")
+        landscape = self._landscape
         if thresholds is None or landscape.screened is None:
             values = landscape.values(z, *self._params)
         else:
@@ -502,8 +506,8 @@ class Objective:
 
     def gradient_many(self, points) -> np.ndarray:
         """Gradients for an ``(n, d)`` batch of points, as shape ``(n, d)``."""
-        z = self._as_batch(points) - self.shift_b
-        return _LANDSCAPES[self.kind].grads(z, *self._params)
+        z = self._shifted(points)
+        return self._landscape.grads(z, *self._params)
 
 
 def make_objective(

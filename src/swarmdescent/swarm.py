@@ -376,7 +376,8 @@ def sbgd_iteration(
     relative heights turn NaN.
     """
     pos, m, f, runs = swarm
-    lone = not (runs[1:] == runs[:-1]).any() and np.isfinite(f).all()
+    # A run never gains agents, so runs that start with one agent stay lone.
+    lone = (initial_count == 1 or not (runs[1:] == runs[:-1]).any()) and np.count_nonzero(np.isfinite(f)) == f.size
     eliminated = merged_away = 0
     if lone:
         m_new, x_min_prev = m, pos
@@ -408,8 +409,8 @@ def sbgd_iteration(
     # (3) mass-weighted backtracking step for every agent of every run.
     grads = obj.gradient_many(pos)
     g_sq = np.add.reduce(grads * grads, axis=1)
-    ladder = np.zeros(pos.shape[0], dtype=int)
-    h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, counts=ladder)
+    ladder = np.empty(pos.shape[0], dtype=int)
+    h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, g_sq=g_sq, counts=ladder)
     new_pos = pos - h[:, None] * grads
 
     merged_pos, merged_m, merged_f, merged_runs = new_pos, m_new, f_step, runs
@@ -466,42 +467,34 @@ def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) 
     going after ``max_iters`` steps stops with ``MAX_ITERS``.  Results come
     back in run order.
     """
-    iterations = np.zeros(n_runs, dtype=int)
     objective_evals = np.array(engine.objective_evals, dtype=int)
     gradient_evals = np.zeros(n_runs, dtype=int)
-    live = np.ones(n_runs, dtype=bool)
     results: list = [None] * n_runs
+    live = n_runs
 
-    def retire(stops):
+    def retire(stops, iterations):
+        # Every run steps from the first step on, so it took ``iterations`` steps.
         runs = list(stops)
         x_sol, f_sol, evals = engine.solutions(runs)
-        for run, x, f, iters, objective, gradient in zip(
-            runs, x_sol, f_sol.tolist(), iterations[runs].tolist(),
-            (objective_evals[runs] + evals).tolist(), gradient_evals[runs].tolist(),
+        for run, x, f, objective, gradient in zip(
+            runs, x_sol, f_sol.tolist(), (objective_evals[runs] + evals).tolist(),
+            gradient_evals[runs].tolist(),
         ):
-            results[run] = RunResult(
-                x_sol=x,
-                f_sol=f,
-                iterations=iters,
-                objective_evals=objective,
-                gradient_evals=gradient,
-                stop_reason=stops[run],
-                history=history,
-            )
-        live[runs] = False
+            results[run] = RunResult(x_sol=x, f_sol=f, iterations=iterations, objective_evals=objective,
+                                     gradient_evals=gradient, stop_reason=stops[run], history=history)
+        return len(runs)
 
-    for _ in range(max_iters):
-        iterations += live
+    for step in range(1, max_iters + 1):
         objective, gradient, stops = engine.advance()
         objective_evals += objective
         gradient_evals += gradient
         if history is not None:
             history.append(engine.record)
         if stops:
-            retire(stops)
-            if not live.any():
+            live -= retire(stops, step)
+            if not live:
                 return results
-    retire(dict.fromkeys(np.flatnonzero(live).tolist(), StopReason.MAX_ITERS))
+    retire(dict.fromkeys([run for run, r in enumerate(results) if r is None], StopReason.MAX_ITERS), max_iters)
     return results
 
 
@@ -551,8 +544,10 @@ class _SwarmRuns:
 
     def solutions(self, runs: list[int]):
         s = self.swarm
-        bounds = _layout(s.runs)
-        best = _run_argmin(s.heights, bounds).take(s.runs.take(bounds[:-1]).searchsorted(runs))
+        # In each run's rows, the one np.argmin picks: the first lowest height, or the first NaN.
+        starts = s.runs.searchsorted(runs).tolist()
+        ends = s.runs.searchsorted(runs, side="right").tolist()
+        best = [a + int(s.heights[a:b].argmin()) for a, b in zip(starts, ends)]
         return s.positions.take(best, axis=0), s.heights.take(best), 0
 
 

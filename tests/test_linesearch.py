@@ -27,14 +27,19 @@ from swarmdescent.objectives import make_objective
 QUAD1 = make_objective("quadratic", 1)
 
 
-def reference_backtrack_batch(obj, positions, grads, c, params, f_current, *, counts=None):
-    """The rung-by-rung ladder: one objective call per rung for the agents still searching."""
+def reference_backtrack_batch(obj, positions, grads, c, params, f_current, *, g_sq=None, counts=None):
+    """The rung-by-rung ladder: one objective call per rung for the agents still searching.
+
+    A caller's ``g_sq`` must equal, bit for bit, the one computed here.
+    """
     X = np.asarray(positions, dtype=float)
     G = np.asarray(grads, dtype=float)
     n = X.shape[0]
     coeff = np.broadcast_to(np.asarray(c, dtype=float), (n,))
     f_base = np.asarray(f_current, dtype=float)
-    g_sq = np.sum(G * G, axis=1)
+    own = np.sum(G * G, axis=1)
+    assert g_sq is None or np.array_equal(_bits(g_sq), _bits(own))
+    g_sq = own
     h_try = np.full(n, float(params.h0))
     h_out = np.zeros(n)
     f_out = f_base.copy()
@@ -491,24 +496,77 @@ def test_lone_agent_blocks_start_at_128_rungs(d, stall):
 
 @pytest.mark.parametrize("c", ["array", "scalar", "stride 0"])
 def test_batch_leaves_its_inputs_alone(c):
-    # The blocks form trial points and thresholds in place, in their own
-    # arrays; 4000 agents take the 2-rung blocks of a wide batch.
-    obj = make_objective("ackley", 2)
-    for n in (300, 4000):
-        X, G, F, _ = _mixed_agents(obj, n, 5)
+    # The first block reads the caller's arrays in place and later blocks
+    # read copies of the rows still searching; trial points and thresholds
+    # are formed in the ladder's own arrays.  20 one-dimensional agents all
+    # accept in their first block; 300 mixed agents take several blocks, and
+    # 4000 the 2-rung blocks of a wide batch.
+    X = np.random.default_rng(4).uniform(-3.0, 3.0, (20, 1))
+    one = make_objective("ackley1d")
+    cases = [("one", one, X, one.gradient_many(X), one.evaluate_many(X))]
+    wide = make_objective("ackley", 2)
+    cases += [("several", wide, *_mixed_agents(wide, n, 5)[:3]) for n in (300, 4000)]
+    for blocks, obj, X, G, F in cases:
+        n = X.shape[0]
         coeff = {"array": np.random.default_rng(6).uniform(0.01, 0.99, n), "scalar": 0.2,
                  "stride 0": np.broadcast_to(np.float64(0.2), (n,))}[c]
-        inputs = [a for a in (X, G, F, coeff) if isinstance(a, np.ndarray)]
+        g_sq = np.add.reduce(G * G, axis=1)
+        args = [X, G, coeff, BacktrackParams(), F]
+        want_counts = np.zeros(n, dtype=int)
+        want = backtrack_batch(obj, *[np.array(a) if isinstance(a, np.ndarray) else a for a in args],
+                               g_sq=g_sq.copy(), counts=want_counts)
+        inputs = [a for a in (X, G, F, coeff, g_sq) if isinstance(a, np.ndarray)]
         saved = [a.copy() for a in inputs]
         for a in inputs:
             a.flags.writeable = False
         counts = np.zeros(n, dtype=int)
-        h, f_new, _ = backtrack_batch(obj, X, G, coeff, BacktrackParams(), F, counts=counts)
+        recording = _Recording(obj)
+        h, f_new, n_evals = backtrack_batch(recording, *args, g_sq=g_sq, counts=counts)
+        assert (len(recording.sizes) == 1) == (blocks == "one")
+        assert np.array_equal(_bits(h), _bits(want[0])) and np.array_equal(_bits(f_new), _bits(want[1]))
+        assert n_evals == want[2] and np.array_equal(counts, want_counts)
         for a, before in zip(inputs, saved):
             assert np.array_equal(_bits(a), _bits(before))
             assert not any(np.shares_memory(out, a) for out in (h, f_new, counts))
         assert not np.shares_memory(h, f_new)
-        assert np.any(h > 0.0) and np.any(h == 0.0)
+        assert np.any(h > 0.0) and (blocks == "one" or np.any(h == 0.0))
+
+
+def test_counts_must_be_an_integer_array_of_one_entry_per_agent():
+    # A longer array would add its stale entries to the returned count and a
+    # shorter one fail mid-ladder; a float, bool or list one is no count array.
+    obj = make_objective("ackley", 2)
+    X = np.array([[1.3, -0.4], [2.1, 0.7]])
+    G, F = obj.gradient_many(X), obj.evaluate_many(X)
+    counts = np.zeros(2, dtype=int)
+    _, _, n_evals = backtrack_batch(obj, X, G, 0.2, BacktrackParams(), F, counts=counts)
+    assert n_evals == counts.sum() > 2
+    for bad in (np.full(3, 7), np.full(1, 7), np.full(2, 7.0), np.ones(2, dtype=bool), [7, 7]):
+        before = np.array(bad)
+        with pytest.raises(ValueError, match=r"counts must be an integer array of shape \(2,\)"):
+            backtrack_batch(obj, X, G, 0.2, BacktrackParams(), F, counts=bad)
+        assert np.array_equal(np.asarray(bad), before)
+
+
+@pytest.mark.parametrize("c", [0.3, "per agent"])
+@pytest.mark.parametrize("name, d", [("rastrigin", 2), ("ackley", 2), ("ackley1d", 1)])
+def test_a_callers_g_sq_takes_the_same_steps(name, d, c):
+    obj = make_objective(name, d)
+    X, G, F, _ = _mixed_agents(obj, 40, 7)
+    c = np.random.default_rng(8).uniform(0.01, 0.99, 40) if c == "per agent" else c
+    want_counts, counts = np.full(40, -1), np.full(40, -1)
+    want = backtrack_batch(obj, X, G, c, BacktrackParams(), F, counts=want_counts)
+    got = backtrack_batch(obj, X, G, c, BacktrackParams(), F, g_sq=np.add.reduce(G * G, axis=1),
+                          counts=counts)
+    assert np.array_equal(_bits(got[0]), _bits(want[0])) and np.array_equal(_bits(got[1]), _bits(want[1]))
+    assert got[2] == want[2] and np.array_equal(counts, want_counts)
+
+
+def test_g_sq_must_have_one_entry_per_agent():
+    X = np.zeros((3, 1))
+    for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), 1.0):
+        with pytest.raises(ValueError, match=r"g_sq must have shape \(3,\)"):
+            backtrack_batch(QUAD1, X, X, 0.2, BacktrackParams(), np.zeros(3), g_sq=bad)
 
 
 @settings(deadline=None, max_examples=3)

@@ -12,7 +12,9 @@ directory, whose path reads ``TMP`` in the captured text:
   every shipped preset, at the preset's own ``m``;
 * ``sweep --objective O --method M --from=-3 --to=3 --steps 200`` for the
   1-D objectives ``ackley1d``, ``rastrigin1d`` and ``flatbasin1d`` and the
-  methods ``sbgd`` and ``gdbt``;
+  methods ``sbgd`` and ``gdbt``, and the same with ``--from=-3.1 --to=2.9
+  --steps 20``, the benchmark's sweep shape: 20 one-agent runs, whose
+  ladder calls start with one block of 103 rungs (11 at 200 runs);
 * ``--help`` of the program and of each subcommand;
 * ``bench --csv --hist`` on a 1-D and a 2-D preset, with the CSV files;
 * two batches that merge thousands of agents: ``bench --preset
@@ -174,6 +176,10 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
             out[f"sweep-{objective}-{method}"] = [
                 "sweep", "--objective", objective, "--method", method,
                 "--from=-3", "--to=3", "--steps", "200",
+            ]
+            out[f"sweep20-{objective}-{method}"] = [
+                "sweep", "--objective", objective, "--method", method,
+                "--from=-3.1", "--to=2.9", "--steps", "20",
             ]
     out["help"] = ["--help"]
     for command in ("run", "bench", "sweep"):
