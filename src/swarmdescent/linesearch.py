@@ -73,7 +73,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, _row_sum
 
 __all__ = ["BacktrackParams", "backtrack_batch"]
 
@@ -96,6 +96,12 @@ _MAX_POINTS = 8192
 # on time from about 256 agents, but up to 1024 it saves little and its
 # temporaries raised the peak memory of 1000-agent swarm batches.
 _ARGMAX_COLUMNS = 1024
+# Rungs up to which a block's first accepted rungs are found row by row, a
+# few whole-row operations per rung.  Over the blocks of one sbgd-ackley2d
+# round (up to 1000 agents) that took 3 us against argmax's 17 us at two
+# rungs and 4 against 8 at three; over gdbt-ackley2d's (over 1024 agents) 5
+# against the weighted max's 10 at two rungs, but 10 against 8 at four.
+_SHORT_BLOCK = 3
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,11 @@ def _ladder(h0: float, gamma: float, h_floor: float) -> np.ndarray:
 def _first_accepted(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each column of ``accept`` holds a true entry, and the row of its first one.
 
+    The row counts only where the column holds one.  A block of at most
+    ``_SHORT_BLOCK`` rows is read row by row: ``miss`` marks the columns
+    false in every row so far, and the first true row of a column is the
+    number of rows that missed before it.
+
     ``argmax`` gives row 0 to a column with no true entry, so a column has
     one where its first row is true or its ``argmax`` is past it.
     ``argmax(axis=0)`` walks the columns one at a time, which is slow for
@@ -173,6 +184,13 @@ def _first_accepted(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bytes, which keeps the block's temporaries small.
     """
     k, m = accept.shape
+    if k <= _SHORT_BLOCK:
+        miss = ~accept[0]
+        first = miss.astype(np.intp)
+        for row in accept[1:-1]:
+            miss &= ~row
+            first += miss
+        return accept[-1] | ~miss, first
     if m <= _ARGMAX_COLUMNS:
         first = accept.argmax(axis=0)
         return accept[0] | (first != 0), first
@@ -233,7 +251,7 @@ def backtrack_batch(
     f_base = np.asarray(f_current, dtype=float)
     if f_base.shape != (n,):
         raise ValueError(f"f_current must have shape ({n},), got {f_base.shape}")
-    g_sq = np.add.reduce(G * G, axis=1) if g_sq is None else np.asarray(g_sq, dtype=float)
+    g_sq = _row_sum(G * G, no_negative_zero=True) if g_sq is None else np.asarray(g_sq, dtype=float)
     if g_sq.shape != (n,):
         raise ValueError(f"g_sq must have shape ({n},), got {g_sq.shape}")
     tried = np.empty(n, dtype=int) if counts is None else counts

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linesearch import BacktrackParams, backtrack_batch
-from .objectives import _SEQUENTIAL_SUM, Objective
+from .objectives import _SEQUENTIAL_SUM, Objective, _row_sum
 
 __all__ = [
     "IterationStats",
@@ -61,7 +61,7 @@ def _row_norms(diffs: np.ndarray) -> np.ndarray:
     expression so that single-agent trajectories of the two code paths agree
     bit for bit.
     """
-    return np.sqrt(np.add.reduce(diffs * diffs, axis=1))
+    return np.sqrt(_row_sum(diffs * diffs, no_negative_zero=True))
 
 
 def _as_starts(obj: Objective, init_positions) -> np.ndarray:
@@ -75,18 +75,12 @@ def _as_starts(obj: Objective, init_positions) -> np.ndarray:
     return starts
 
 
-def _layout(runs: np.ndarray) -> np.ndarray:
-    """Run boundaries of a non-decreasing run-label array: run ``k`` is ``bounds[k]:bounds[k+1]``."""
-    return np.concatenate(([True], runs[1:] != runs[:-1], [True])).nonzero()[0]
+def _layout(breaks: np.ndarray) -> np.ndarray:
+    """Run boundaries from ``runs[1:] != runs[:-1]`` of a non-decreasing run-label array.
 
-
-def _kept_layout(keep: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run boundaries after dropping the agents ``keep`` rejects, and the kept-agent prefix counts.
-
-    Every run must keep at least one agent.
+    Run ``k`` is ``bounds[k]:bounds[k+1]``.
     """
-    seen = keep.cumsum()
-    return np.concatenate(([0], seen[bounds[1:] - 1])), seen
+    return np.concatenate(([True], breaks, [True])).nonzero()[0]
 
 
 def _run_argmin(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -99,10 +93,10 @@ def _run_argmin(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 _LANES = np.arange(_SEQUENTIAL_SUM - 1)[:, None]
-# Short runs from which one gathered sum beats a ``.sum()`` call per run.  On
-# a 2-vCPU VM (numpy 2.4) the loop costs about 2 us plus 1.1 us per run and
-# the gather 7-12 us whatever the run count, so the two cross between 6 and 9
-# runs.  A lone run keeps its single call.
+# Short runs from which one gathered sum beats an ``np.add.reduce`` call per
+# run.  On a 2-vCPU VM (numpy 2.4) the loop costs about 2.7 us plus 1.1 us
+# per run and the gather 11-13 us whatever the run count, so the two cross
+# at about 8 runs.  A lone run keeps its single call.
 _GATHERED_RUNS = 8
 
 
@@ -116,14 +110,14 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     partial sum as it is, since a sum begun on +0.0 is never -0.0.  Longer
     runs, runs whose sum is NaN (which of two NaNs an elementwise add keeps
     varies along the array) and the runs of a batch with fewer short runs
-    are summed one by one.
+    are summed one by one, by the ``np.add.reduce`` that ``.sum()`` calls.
     """
     edges = bounds.tolist()
     starts = bounds[:-1]
     counts = bounds[1:] - starts
     redo = counts >= _SEQUENTIAL_SUM
     if redo.size - np.count_nonzero(redo) < _GATHERED_RUNS:
-        return np.array([values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
+        return np.array([np.add.reduce(values[a:b]) for a, b in zip(edges[:-1], edges[1:])])
     counts[redo] = 0
     lanes = _LANES[:np.maximum.reduce(counts)]
     sums = np.zeros(starts.size)
@@ -131,7 +125,7 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         sums += row
     redo |= np.isnan(sums)
     for k in redo.nonzero()[0].tolist():
-        sums[k] = values[edges[k]:edges[k + 1]].sum()
+        sums[k] = np.add.reduce(values[edges[k]:edges[k + 1]])
     return sums
 
 
@@ -264,7 +258,7 @@ def transfer_mass(masses: np.ndarray, eta: np.ndarray, p: float, i_min: np.ndarr
     iterations accumulate; ``total`` also folds in the mass of eliminated
     agents.
     """
-    if (eta[i_min] != 0.0).any():
+    if np.count_nonzero(eta.take(i_min)):
         raise RuntimeError(f"the minimizer must have relative height 0, got {eta[i_min][eta[i_min] != 0.0][0]}")
     out = masses * (1.0 - eta**p)
     others = np.ones(masses.size, dtype=bool)
@@ -281,35 +275,60 @@ _UNDERFLOW_GAP = float(np.sqrt(np.finfo(float).tiny))
 def _close_pairs(positions: np.ndarray, runs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs ``i < j`` of agents of one run closer than ``tol``, as an array of ``i`` and one of ``j``.
 
-    The pairs come in ``(i, j)`` order.  Agents are sorted by run and then by first coordinate, and each is
-    compared with the following agents of its run while the first-coordinate
-    gap stays below ``tol``: two agents closer than ``tol`` are never
-    further apart than that in one coordinate.  The gap window keeps a
-    margin against rounding in the distances, and it does not shrink below
-    the scale at which squared differences underflow, where a norm can read
-    smaller than one of its coordinates.
+    The pairs come in ``(i, j)`` order.  Agents are sorted by run and then
+    by first coordinate: one ``argsort`` of the first coordinates, then a
+    stable sort of the run labels cast to the narrowest unsigned type that
+    holds them (labels are non-negative and non-decreasing, so the last is
+    the largest), which numpy does by radix.  Each agent is compared with
+    the following agents of its run while the first-coordinate gap stays
+    below ``tol``: two agents closer than ``tol`` are never further apart
+    than that in one coordinate.  The gap window keeps a margin against
+    rounding in the distances, and it does not shrink below the scale at
+    which squared differences underflow, where a norm can read smaller than
+    one of its coordinates.
+
+    Agents that share a first coordinate may come out of the sort in any
+    order, and the pair set does not depend on it.  A distance is the same
+    bit for bit whichever of its two agents is subtracted, since ``(a -
+    b)**2`` equals ``(b - a)**2``.  And the window test is monotone in the
+    sorted order: rounding keeps ``x0[s] - x0[p]`` and ``x0[t] - x0[s]`` at
+    most ``x0[t] - x0[p]`` for ``p <= s <= t``, so the agents between two
+    agents within the window are within it of both and of each other.  So
+    however ties are ordered, every pair of one run within the window is
+    compared once, from whichever of the two comes first.  For the same
+    reason an agent goes on from gap ``g`` to ``g + 1`` only where the
+    sorted agents ``g`` and ``g + 1`` places after it are within the window
+    of each other, which the gap-1 test has already decided.
     """
     window = max(tol * (1.0 + 1e-9), _UNDERFLOW_GAP)
     x0 = positions[:, 0]
-    order = np.lexsort((x0, runs))
-    x0, runs, pos = x0[order], runs[order], positions.take(order, axis=0)
+    n = x0.size
+    order = x0.argsort()
+    order = order.take(runs.take(order).astype(np.min_scalar_type(runs[-1])).argsort(kind="stable"))
+    x0 = x0.take(order)
+    # near[p]: sorted agents p and p + 1 share a run and lie within the window; the last is False.
+    near = np.zeros(n, dtype=bool)
+    np.less(x0[1:] - x0[:-1], window, out=near[:-1])
+    # The run labels come out of the sort as they went in.
+    near[:-1] &= runs[1:] == runs[:-1]
+    lead = near.nonzero()[0]
     # Each pair as the number i n + j, so that one sort puts them in (i, j) order.
-    keys = [np.zeros(0, dtype=int)]
-    lead = np.arange(x0.size - 1)
+    keys = []
     gap = 1
     while lead.size:
-        near = (runs[lead + gap] == runs[lead]) & (x0[lead + gap] - x0[lead] < window)
-        lead = lead[near]
-        if not lead.size:
-            break
-        dist = _row_norms(pos.take(lead + gap, axis=0) - pos.take(lead, axis=0))
-        hit = lead[dist < tol]
-        if hit.size:
-            a, b = order[hit], order[hit + gap]
-            keys.append(np.minimum(a, b) * x0.size + np.maximum(a, b))
+        a, b = order.take(lead), order.take(lead + gap)
+        hit = _row_norms(positions.take(b, axis=0) - positions.take(a, axis=0)) < tol
+        if np.count_nonzero(hit):
+            a, b = a[hit], b[hit]
+            keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+        lead = lead[near.take(lead + gap)]
         gap += 1
-        lead = lead[lead + gap < x0.size]
-    return np.divmod(np.sort(np.concatenate(keys)), x0.size)
+        if lead.size:
+            lead = lead[x0.take(lead + gap) - x0.take(lead) < window]
+    if not keys:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none
+    return np.divmod(np.sort(np.concatenate(keys)), n)
 
 
 def _merge_agents(
@@ -377,13 +396,17 @@ def sbgd_iteration(
     """
     pos, m, f, runs = swarm
     # A run never gains agents, so runs that start with one agent stay lone.
-    lone = (initial_count == 1 or not (runs[1:] == runs[:-1]).any()) and np.count_nonzero(np.isfinite(f)) == f.size
+    breaks = None if initial_count == 1 else runs[1:] != runs[:-1]
+    lone = breaks is None or np.count_nonzero(breaks) == breaks.size
+    lone = lone and np.count_nonzero(np.isfinite(f)) == f.size
     eliminated = merged_away = 0
     if lone:
         m_new, x_min_prev = m, pos
         coeff = params.backtrack.lam * 1.0**params.backtrack.q
     else:
-        bounds = _layout(runs)
+        if breaks is None:  # lone runs, but a height that is not finite
+            breaks = runs[1:] != runs[:-1]
+        bounds = _layout(breaks)
         total = _run_sums(m, bounds)
         i_min = _run_argmin(f, bounds)
         x_min_prev = pos.take(i_min, axis=0)
@@ -394,9 +417,10 @@ def sbgd_iteration(
         keep[i_min] = True
         eliminated = int(keep.size - np.count_nonzero(keep))
         if eliminated:
-            bounds, seen = _kept_layout(keep, bounds)
-            i_min = seen[i_min] - 1
-            pos, m, f, runs = (a.compress(keep, axis=0) for a in (pos, m, f, runs))
+            # A kept agent's new index is the number of kept agents before it.
+            kept = keep.nonzero()[0]
+            bounds, i_min = kept.searchsorted(bounds), kept.searchsorted(i_min)
+            pos, m, f, runs = pos.take(kept, axis=0), m.take(kept), f.take(kept), runs.take(kept)
 
         # (2) mass transition driven by relative heights, run by run, and
         # the step coefficients it leaves.
@@ -408,7 +432,7 @@ def sbgd_iteration(
 
     # (3) mass-weighted backtracking step for every agent of every run.
     grads = obj.gradient_many(pos)
-    g_sq = np.add.reduce(grads * grads, axis=1)
+    g_sq = _row_sum(grads * grads, no_negative_zero=True)
     ladder = np.empty(pos.shape[0], dtype=int)
     h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, g_sq=g_sq, counts=ladder)
     new_pos = pos - h[:, None] * grads
@@ -426,7 +450,7 @@ def sbgd_iteration(
                 new_pos, m_new, f_step, params.tolmerge, runs
             )
         if merged_away:
-            bounds = _kept_layout(kept, bounds)[0]
+            bounds = kept.nonzero()[0].searchsorted(bounds)
             merged_runs = runs[kept]
         x_min = merged_pos.take(_run_argmin(merged_f, bounds), axis=0)
     residual = _row_norms(x_min - x_min_prev)
@@ -524,8 +548,8 @@ class _SwarmRuns:
         s = self.swarm
         if self.stopped:
             self.live[self.stopped] = False
-            keep = self.live[s.runs]
-            s = _Swarm(*(a.compress(keep, axis=0) for a in s))
+            rows = self.live.take(s.runs).nonzero()[0]
+            s = _Swarm(*(a.take(rows, axis=0) for a in s))
         self.swarm, residual, stats = sbgd_iteration(s, self.obj, self.params, self.initial_count)
         if self.n_runs == 1:
             # A lone run's history records its residual as a float.
@@ -537,8 +561,10 @@ class _SwarmRuns:
         stops = dict.fromkeys(gradient.nonzero()[0][residual < self.params.tolres].tolist(),
                               StopReason.RESIDUAL)
         # A run down to one agent that could not step has stalled, whatever its residual.
-        stalled = runs[(gradient == 1)[runs] & (stats.step_sizes == 0.0)]
-        stops.update(dict.fromkeys(stalled.tolist(), StopReason.SINGLE_STALLED_AGENT))
+        stalled = runs[stats.step_sizes == 0.0]
+        if stalled.size:
+            stalled = stalled[gradient.take(stalled) == 1]
+            stops.update(dict.fromkeys(stalled.tolist(), StopReason.SINGLE_STALLED_AGENT))
         self.stopped = list(stops)
         return objective.astype(int), gradient, stops
 

@@ -18,7 +18,9 @@ from swarmdescent.cli import preset_names
 from swarmdescent.linesearch import (
     _ARGMAX_COLUMNS,
     _MAX_POINTS,
+    _SHORT_BLOCK,
     BacktrackParams,
+    _first_accepted,
     _ladder,
     backtrack_batch,
 )
@@ -338,6 +340,34 @@ def test_counts_of_mixed_agents_match_rung_by_rung(c):
     assert np.all(h[kind == 0] > 0.0) and np.all(counts[kind == 0] < full)
 
 
+def _first_accepted_loop(accept):
+    """Per column, by a Python loop: whether it holds a true entry, and the row of its first one."""
+    hit = np.zeros(accept.shape[1], dtype=bool)
+    first = np.zeros(accept.shape[1], dtype=int)
+    for col, column in enumerate(accept.T.tolist()):
+        if True in column:
+            hit[col], first[col] = True, column.index(True)
+    return hit, first
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("m", [1, 6, _ARGMAX_COLUMNS, _ARGMAX_COLUMNS + 1, 3 * _ARGMAX_COLUMNS])
+def test_first_accepted_matches_a_column_loop(k, m):
+    # k runs across _SHORT_BLOCK rows and m across _ARGMAX_COLUMNS, so every
+    # search is taken; each column of the mixed blocks has its own odds.
+    assert 1 <= _SHORT_BLOCK < 9
+    rng = np.random.default_rng(1000 * k + m)
+    blocks = [np.zeros((k, m), dtype=bool), np.ones((k, m), dtype=bool),
+              rng.random((k, m)) < rng.random(m), rng.random((k, m)) < 0.05]
+    for accept in blocks:
+        before = accept.copy()
+        hit, first = _first_accepted(accept)
+        want_hit, want_first = _first_accepted_loop(accept)
+        assert np.array_equal(hit, want_hit)
+        assert np.array_equal(first[hit], want_first[hit])
+        assert np.array_equal(accept, before)
+
+
 def test_wide_batch_in_one_rung_blocks_matches_rung_by_rung_bitwise():
     # Past _MAX_POINTS // 2 searching agents every block is a single rung,
     # the regime of a wide GD(BT) batch on the shifted 2-D Ackley.
@@ -356,8 +386,8 @@ def test_wide_batch_in_one_rung_blocks_matches_rung_by_rung_bitwise():
 
 def test_wide_batch_in_two_rung_blocks_matches_rung_by_rung_bitwise():
     # 4000 agents, the width of a gdbt-ackley2d batch: _MAX_POINTS caps the
-    # blocks after the first at 2 rungs, and with more than _ARGMAX_COLUMNS
-    # agents searching their first accepts come from the weighted max.
+    # blocks after the first at 2 rungs, whose first accepts are found row
+    # by row, with more than _ARGMAX_COLUMNS agents searching.
     n = 4000
     obj = make_objective("ackley", 2, shift_b=10.0)
     X, G, F, _ = _mixed_agents(obj, n, 13)

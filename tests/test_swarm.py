@@ -15,6 +15,7 @@ from swarmdescent.swarm import (
     _merge_agents,
     _run_argmin,
     _run_sums,
+    _close_pairs,
     _Swarm,
     relative_heights,
     run_sbgd,
@@ -292,7 +293,7 @@ class TestValidation:
         assert params.q == 2.0
 
 
-_MERGE_KINDS = ["clustered", "random", "boundary", "underflow", "nan", "inf"]
+_MERGE_KINDS = ["clustered", "random", "boundary", "underflow", "tied", "nan", "inf"]
 _MERGE_TOLS = [0.0, 1e-200, 1e-3, 0.5, np.inf]
 
 
@@ -308,6 +309,15 @@ def _merge_inputs(kind, seed, d=None):
         # Neighbours tolmerge = 1e-3 apart, up to rounding: right at the threshold.
         pos = np.zeros((n, d))
         pos[:, 0] = 1e-3 * np.arange(n)
+    elif kind == "tied":
+        # First coordinates tied in groups, so the sort orders each group as
+        # it likes; the second coordinate steps 6e-4, so that agents one step
+        # apart lie within tolmerge = 1e-3 of each other and two steps apart
+        # do not.
+        pos = np.zeros((n, d))
+        pos[:, 0] = 0.25 * rng.integers(0, 4, n)
+        if d > 1:
+            pos[:, 1] = 6e-4 * rng.integers(0, 5, n)
     elif kind == "underflow":
         # Distinct first coordinates, gaps whose squares underflow: every
         # norm reads 0 though the first coordinates differ by more than tol.
@@ -368,6 +378,26 @@ def test_merge_keeps_runs_apart(d, draws, tol):
     assert np.array_equal(got_heights, want_heights)
     assert np.array_equal(pos[kept], want_pos, equal_nan=True)
     assert np.array_equal(heights[kept], want_heights)
+
+
+@pytest.mark.parametrize("last_label", [300, 70000])
+def test_close_pairs_match_a_check_of_every_pair(last_label):
+    # Over 256 runs, so the labels no longer fit in a byte (nor, up to
+    # 70000, in two), of 1-6 agents each: tied and distinct first
+    # coordinates, and second coordinates a step of 6e-4 apart.
+    rng = np.random.default_rng(last_label)
+    counts = rng.integers(1, 7, 300)
+    runs = np.repeat(np.linspace(0, last_label, counts.size).astype(int), counts)
+    n = runs.size
+    pos = np.column_stack((0.3 * rng.integers(0, 3, n) + rng.choice([0.0, 4e-4, 2e-3], n),
+                           6e-4 * rng.integers(0, 4, n)))
+    tol = 1e-3
+    diffs = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+    want = np.nonzero(np.triu(dist < tol, 1) & (runs[:, None] == runs[None, :]))
+    assert want[0].size > 100
+    got = _close_pairs(pos, runs, tol)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_run_argmin_picks_what_np_argmin_picks_in_each_run():

@@ -17,9 +17,11 @@ directory, whose path reads ``TMP`` in the captured text:
   ladder calls start with one block of 103 rungs (11 at 200 runs);
 * ``--help`` of the program and of each subcommand;
 * ``bench --csv --hist`` on a 1-D and a 2-D preset, with the CSV files;
-* two batches that merge thousands of agents: ``bench --preset
-  ackley2d-b10-sbgd11-n100 --m 20 --tolmerge 0.5`` and ``bench --preset
-  ackley1d-sbgd11-n20 --m 50 --tolmerge 0.05``;
+* three batches that merge thousands of agents: ``bench --preset
+  ackley2d-b10-sbgd11-n100 --m 20 --tolmerge 0.5``, ``bench --preset
+  ackley1d-sbgd11-n20 --m 50 --tolmerge 0.05`` and the same at ``--m 300``,
+  whose run labels pass 255 and so no longer fit the merge check's
+  narrowest label type;
 * two Ackley batches with a value shift, which the screened kernel's bound
   must carry: ``bench --preset ackley2d-b10-gdbt-n100 --m 10 --c -7.25`` and
   ``bench --preset ackley20d-sbgd21-n50 --m 5 --c 1e6``;
@@ -192,6 +194,8 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
                              "--jobs", "1"]
     out["merge-ackley1d"] = ["bench", "--preset", "ackley1d-sbgd11-n20", "--m", "50", "--tolmerge", "0.05",
                              "--jobs", "1"]
+    out["merge-ackley1d-m300"] = ["bench", "--preset", "ackley1d-sbgd11-n20", "--m", "300", "--tolmerge", "0.05",
+                                  "--jobs", "1"]
     out["shift-c-ackley2d"] = ["bench", "--preset", "ackley2d-b10-gdbt-n100", "--m", "10", "--c", "-7.25",
                                "--jobs", "1"]
     out["shift-c-ackley20d"] = ["bench", "--preset", "ackley20d-sbgd21-n50", "--m", "5", "--c", "1e6",
