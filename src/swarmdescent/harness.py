@@ -92,7 +92,7 @@ CONFIG_KEYS = {
     "init_box": ConfigKey(list, "uniform initialization box, e.g. --init-box=-3,-1", commands=_BATCH),
     "h": ConfigKey(float, "step size for gd/adam", "method.h", methods=("gd", "adam")),
     "p": ConfigKey(float, "mass-transition exponent", "method.p", methods=_SBGD),
-    "q": ConfigKey(float, "relative-mass exponent in the step rule", "method.backtrack.q", methods=_SBGD),
+    "q": ConfigKey(float, "relative-mass exponent in the step rule", "method.q", methods=_SBGD),
     "lambda": ConfigKey(float, "descent parameter", "method.backtrack.lam", methods=_LADDER),
     "gamma": ConfigKey(float, "backtracking shrinkage factor", "method.backtrack.gamma", methods=_LADDER),
     "h0": ConfigKey(float, "initial backtracking step", "method.backtrack.h0", methods=_LADDER),

@@ -91,22 +91,21 @@ _LONE_RUNGS = 128
 # Bound on the points of one call, which keeps a long ladder (gamma near 1)
 # from building one huge trial array.
 _MAX_POINTS = 8192
-# Searching agents above which a block's first accepted rungs are found by a
-# weighted max rather than a column-by-column argmax.  The weighted max wins
-# on time from about 256 agents, but up to 1024 it saves little and its
-# temporaries raised the peak memory of 1000-agent swarm batches.
-_ARGMAX_COLUMNS = 1024
 # Rungs up to which a block's first accepted rungs are found row by row, a
-# few whole-row operations per rung.  Over the blocks of one sbgd-ackley2d
-# round (up to 1000 agents) that took 3 us against argmax's 17 us at two
-# rungs and 4 against 8 at three; over gdbt-ackley2d's (over 1024 agents) 5
-# against the weighted max's 10 at two rungs, but 10 against 8 at four.
-_SHORT_BLOCK = 3
+# few whole-row operations per rung; a longer block takes argmax, whose
+# column-by-column walk is slow over many columns.  A block of more than
+# 1024 agents holds at most _MAX_POINTS // 1025 = 7 rungs, so every wide
+# block is read row by row.
+_SHORT_BLOCK = 7
 
 
 @dataclass(frozen=True)
 class BacktrackParams:
     """Step-ladder parameters shared by all backtracking callers.
+
+    The ladder reads ``lam`` only through the coefficient its caller passes:
+    GD(BT) and the correction step pass ``lam`` itself, and the swarm passes
+    ``lam * m~^q`` with its own exponent ``SBGDParams.q``.
 
     Attributes
     ----------
@@ -120,16 +119,12 @@ class BacktrackParams:
     h_floor : float
         Stall threshold: once trial steps drop to or below this the search
         gives up and returns step 0.
-    q : float
-        Exponent of the relative-mass weight ``m~^q`` that swarm callers
-        compose into the coefficient ``c = lam * m~^q``.
     """
 
     lam: float = 0.2
     gamma: float = 0.9
     h0: float = 1.0
     h_floor: float = 1e-14
-    q: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < 1.0:
@@ -140,8 +135,6 @@ class BacktrackParams:
             raise ValueError(f"h0 must be positive, got {self.h0}")
         if not 0.0 <= self.h_floor < self.h0:
             raise ValueError(f"h_floor must lie in [0, h0), got {self.h_floor}")
-        if not self.q > 0.0:
-            raise ValueError(f"q must be positive, got {self.q}")
 
 
 def _shrink(h: float, gamma: float) -> float:
@@ -173,17 +166,11 @@ def _first_accepted(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The row counts only where the column holds one.  A block of at most
     ``_SHORT_BLOCK`` rows is read row by row: ``miss`` marks the columns
     false in every row so far, and the first true row of a column is the
-    number of rows that missed before it.
-
-    ``argmax`` gives row 0 to a column with no true entry, so a column has
-    one where its first row is true or its ``argmax`` is past it.
-    ``argmax(axis=0)`` walks the columns one at a time, which is slow for
-    many short columns.  There, row ``r`` of ``k`` scores ``k - r`` where it
-    is true, and the best score of a column marks the same row.  The scores
-    use the smallest unsigned type that holds ``k`` and ``accept`` is read as
-    bytes, which keeps the block's temporaries small.
+    number of rows that missed before it.  A longer block takes ``argmax``,
+    which gives row 0 to a column with no true entry, so a column has one
+    where its first row is true or its ``argmax`` is past it.
     """
-    k, m = accept.shape
+    k = accept.shape[0]
     if k <= _SHORT_BLOCK:
         miss = ~accept[0]
         first = miss.astype(np.intp)
@@ -191,12 +178,8 @@ def _first_accepted(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             miss &= ~row
             first += miss
         return accept[-1] | ~miss, first
-    if m <= _ARGMAX_COLUMNS:
-        first = accept.argmax(axis=0)
-        return accept[0] | (first != 0), first
-    ranks = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))
-    score = (accept.view(np.uint8) * ranks[:, None]).max(axis=0)
-    return score > 0, k - score.astype(int)
+    first = accept.argmax(axis=0)
+    return accept[0] | (first != 0), first
 
 
 def backtrack_batch(

@@ -147,12 +147,15 @@ class _Swarm(NamedTuple):
 class SBGDParams:
     """Parameters of the swarm dynamics.
 
-    ``p`` is the mass-transition exponent (shed fraction ``eta^p``); the
-    step-weight exponent ``q`` lives on ``backtrack`` and is exposed here as
-    a property so there is a single source of truth.
+    ``p`` is the mass-transition exponent (shed fraction ``eta^p``) and ``q``
+    the step-weight exponent: an agent of relative mass ``m~`` takes the
+    Armijo coefficient ``backtrack.lam * m~^q``, so heavier agents demand
+    more decrease.  ``q`` is checked first, so that a document with a bad
+    ``q`` and another bad key reports ``q``.
     """
 
     p: float = 1.0
+    q: float = 1.0
     backtrack: BacktrackParams = BacktrackParams()
     tolm: float = 1e-4
     tolmerge: float = 1e-3
@@ -161,6 +164,8 @@ class SBGDParams:
     max_iters: int = 10000
 
     def __post_init__(self) -> None:
+        if not self.q > 0.0:
+            raise ValueError(f"q must be positive, got {self.q}")
         if not self.p > 0.0:
             raise ValueError(f"p must be positive, got {self.p}")
         for name in ("tolm", "tolmerge", "tolres"):
@@ -170,10 +175,6 @@ class SBGDParams:
             raise ValueError(f"eps_eta must be positive, got {self.eps_eta}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-
-    @property
-    def q(self) -> float:
-        return self.backtrack.q
 
 
 class StopReason(Enum):
@@ -402,7 +403,7 @@ def sbgd_iteration(
     eliminated = merged_away = 0
     if lone:
         m_new, x_min_prev = m, pos
-        coeff = params.backtrack.lam * 1.0**params.backtrack.q
+        coeff = params.backtrack.lam * 1.0**params.q
     else:
         if breaks is None:  # lone runs, but a height that is not finite
             breaks = runs[1:] != runs[:-1]
@@ -428,7 +429,7 @@ def sbgd_iteration(
         m_new = transfer_mass(m, eta, params.p, i_min, total, bounds)
         starts = bounds[:-1]
         m_rel = m_new / np.maximum.reduceat(m_new, starts).repeat(bounds[1:] - starts)
-        coeff = params.backtrack.lam * m_rel**params.backtrack.q
+        coeff = params.backtrack.lam * m_rel**params.q
 
     # (3) mass-weighted backtracking step for every agent of every run.
     grads = obj.gradient_many(pos)

@@ -72,7 +72,7 @@ def _sbgd_step(pos, m, f, n0, obj, params):
     others = np.ones(m.size, dtype=bool)
     others[i_min] = False
     m_new[i_min] = total - m_new[others].sum()
-    coeff = params.backtrack.lam * (m_new / m_new.max()) ** params.backtrack.q
+    coeff = params.backtrack.lam * (m_new / m_new.max()) ** params.q
     grads = obj.gradient_many(pos)
     ladder = np.zeros(pos.shape[0], dtype=int)
     h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, counts=ladder)

@@ -27,8 +27,8 @@ from swarmdescent.swarm import SBGDParams, run_sbgd
 
 SEED = 42
 
-VANILLA = SBGDParams(p=1.0, backtrack=BacktrackParams(lam=0.2, gamma=0.9, h0=1.0, q=1.0))
-HEAVY = SBGDParams(p=2.0, backtrack=BacktrackParams(lam=0.2, gamma=0.9, h0=1.0, q=1.0))
+VANILLA = SBGDParams(p=1.0, q=1.0, backtrack=BacktrackParams(lam=0.2, gamma=0.9, h0=1.0))
+HEAVY = SBGDParams(p=2.0, q=1.0, backtrack=BacktrackParams(lam=0.2, gamma=0.9, h0=1.0))
 GDBT = BaselineParams(method=BaselineMethod.GD_BACKTRACK, backtrack=BacktrackParams(lam=0.2))
 GDBT_03 = BaselineParams(method=BaselineMethod.GD_BACKTRACK, backtrack=BacktrackParams(lam=0.3))
 
@@ -125,7 +125,7 @@ def test_criterion_5_preconditioned_20d_ackley():
     # on the 20-D Ackley minimizer to machine-level accuracy.
     t0 = time.perf_counter()
     obj = make_objective("ackley", 20)
-    method = SBGDParams(p=2.0, backtrack=BacktrackParams(lam=0.2, gamma=0.9, h0=2.0, q=1.0))
+    method = SBGDParams(p=2.0, q=1.0, backtrack=BacktrackParams(lam=0.2, gamma=0.9, h0=2.0))
     report = _bench(obj, method, 50, 50)
     corr = precondition_and_correct(report)
     elapsed = time.perf_counter() - t0
@@ -292,7 +292,8 @@ def test_20d_loss_ordering_remains_qualitative():
     obj = make_objective("rastrigin", 20, shift_b=5.0)
     swarm_method = SBGDParams(
         p=2.0,
-        backtrack=BacktrackParams(lam=0.8, gamma=0.5, h0=1.0, q=1.0),
+        q=1.0,
+        backtrack=BacktrackParams(lam=0.8, gamma=0.5, h0=1.0),
         tolm=1e-3,
         tolmerge=1e-1,
         tolres=1e-2,

@@ -259,7 +259,8 @@ class TestCorrection:
         obj = make_objective("rastrigin", 20, shift_b=1.5)
         method = SBGDParams(
             p=2.0,
-            backtrack=BacktrackParams(lam=0.8, gamma=0.5, h0=1.0, q=1.0),
+            q=1.0,
+            backtrack=BacktrackParams(lam=0.8, gamma=0.5, h0=1.0),
             tolm=1e-3,
             tolmerge=1e-1,
             tolres=1e-2,

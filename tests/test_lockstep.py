@@ -186,8 +186,9 @@ def _lone_batches(draw):
         else:
             runs.append(np.repeat(rng.uniform(-3.0, 3.0, (1, d)), n, axis=0))
     backtrack = draw(st.builds(BacktrackParams, lam=st.floats(0.05, 0.9), gamma=st.floats(0.5, 0.95),
-                               h0=st.floats(0.1, 4.0), q=st.floats(0.5, 3.0)))
-    params = draw(st.builds(SBGDParams, p=st.floats(0.5, 3.0), backtrack=st.just(backtrack),
+                               h0=st.floats(0.1, 4.0)))
+    params = draw(st.builds(SBGDParams, p=st.floats(0.5, 3.0), q=st.floats(0.5, 3.0),
+                            backtrack=st.just(backtrack),
                             tolm=st.sampled_from([1e-4, 1e-2, 0.3]),
                             tolmerge=st.sampled_from([1e-3, 0.5]), max_iters=st.integers(1, 40)))
     return obj, np.stack(runs), params
@@ -214,7 +215,7 @@ def test_lone_agents_keep_their_masses(dimension, objective):
     # mass, conserved only to rounding) carry them over unchanged, and each
     # agent's row of the step's record is its per-run step's record.
     obj = make_objective(objective, dimension)
-    params = SBGDParams(tolm=0.3, backtrack=BacktrackParams(q=2.5))
+    params = SBGDParams(tolm=0.3, q=2.5)
     pos = np.random.default_rng(11).uniform(-3.0, 3.0, (5, dimension))
     masses = np.array([1.0 - 2.0**-52, 0.37, 1.0 + 2.0**-52, 2.5e-3, 1.0 / 3.0])
     state = swarm._Swarm(pos, masses, obj.evaluate_many(pos), np.array([0, 2, 3, 7, 8]))

@@ -288,9 +288,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_iters"):
             SBGDParams(max_iters=0)
 
-    def test_q_single_source_of_truth(self):
-        params = SBGDParams(backtrack=BacktrackParams(q=2.0))
-        assert params.q == 2.0
+    def test_q_is_a_swarm_field_checked_first(self):
+        assert SBGDParams().q == 1.0
+        assert SBGDParams(q=2.0).q == 2.0
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError, match=f"^q must be positive, got {bad}$"):
+                SBGDParams(q=bad)
+        # A bad q is reported ahead of every other bad field.
+        with pytest.raises(ValueError, match="^q must be positive"):
+            SBGDParams(q=0.0, p=0.0, tolm=-1.0, eps_eta=0.0, max_iters=0)
+        with pytest.raises(TypeError):
+            BacktrackParams(q=1.0)
 
 
 _MERGE_KINDS = ["clustered", "random", "boundary", "underflow", "tied", "nan", "inf"]

@@ -36,7 +36,8 @@ directory, whose path reads ``TMP`` in the captured text:
 * the usage and configuration errors (exit code 2): unknown, mistyped and
   missing keys, objectives, presets and methods, a preset named by a path, a
   config file that is not JSON and one that holds a JSON array, malformed
-  init boxes, out-of-range parameters, each float key set to ``nan``,
+  init boxes, out-of-range parameters, a bad ``q`` beside a bad ``p`` and
+  beside a bad ``lambda`` (which error wins), each float key set to ``nan``,
   ``inf`` and ``-inf`` by flag, an init box of infinite width by flag and
   one with an infinite bound by config file, a 2-D sweep, sweeps from
   ``nan``, to ``inf`` and over a span that overflows, a malformed seed
@@ -128,6 +129,8 @@ ERRORS = {
                       "--jobs", "1", "--init-box=-1e308,1e308"],
     "init-box-infinite-config": ["bench", "--config", f"{TMP}/init-box-infinite.json", "--jobs", "1"],
     "gamma": ["run", *QUAD1, "--gamma", "1.5"],
+    "p-and-q": ["run", *QUAD1, "--p", "0", "--q", "0"],
+    "lambda-and-q": ["run", *QUAD1, "--lambda", "0", "--q", "0"],
     "agents": ["run", *QUAD1, "--n", "0"],
     "sweep-2d": ["sweep", "--objective", "ackley", "--d", "2", "--from=-3", "--to=3", "--steps", "5"],
     "sweep-steps": ["sweep", *QUAD1, "--from=-3", "--to=3", "--steps", "0"],
