@@ -55,16 +55,16 @@ rows it is sure of:
   lower bound on the computed value: IEEE addition and subtraction,
   rounded to nearest, are monotone in each operand, so a smaller operand
   never rounds to a larger result.
-* ``E = e`` serves every row.  By the same monotony a mean of cosines, each
-  at most 1, rounds to at most 1: a sum of ``j`` of them to at most ``j``,
-  and the sum of all ``d`` over ``d`` to at most 1.  ``e`` is no smaller
-  than any ``exp(s)`` numpy returns for ``s <= 1``, which
-  ``tests/test_objectives.py`` checks on the 2^20 doubles nearest 1 (where
-  a rounding error could carry ``exp`` past ``e``).
-* A tighter ``E`` per row.  ``cos x <= 1 - x^2/2 + x^4/24`` for every real
+* The bound's ``E``.  ``cos x <= 1 - x^2/2 + x^4/24`` for every real
   ``x``.  With ``t = z - rint(z)``, exact, and ``s = t^2``, this gives
   ``cos(2 pi z) <= 1 - 2 pi^2 s + (2 pi^4 / 3) s^2``, so the bound takes
   ``E = min(e, exp(1 + 1e-9 - (2 pi^2 sum s - (2 pi^4 / 3) sum s^2) / d))``.
+* The cap at ``e``.  By the same monotony a mean of cosines, each at most
+  1, rounds to at most 1: a sum of ``j`` of them to at most ``j``, and the
+  sum of all ``d`` over ``d`` to at most 1.  ``e`` is no smaller than any
+  ``exp(s)`` numpy returns for ``s <= 1``, which ``tests/test_objectives.py``
+  checks on the 2^20 doubles nearest 1 (where a rounding error could carry
+  ``exp`` past ``e``).
 * The margin.  ``exp`` grows by a factor of ``e^1e-9``, about ``1 + 1e-9``,
   across the ``1e-9`` in the exponent.  It covers, each far below it:
   the phase, since the cosine is taken of ``z * 2 pi`` rounded, which for
@@ -82,25 +82,23 @@ rows it is sure of:
   minima are, the bound is tight: where every ``|t| <= 1e-3`` the
   polynomial is off by under ``1e-16``, and the bound lies at most
   ``4e-9`` plus an ulp of the value below it.
-* Where the tighter ``E`` runs.  One test per call picks ``E`` for all its
-  rows: the tighter one on calls of at least 2048 coordinates whose
-  ``z * z`` has no entry above ``2^32``, which holds exactly when every
-  ``|z| <= 2^16`` (rounding is monotone and ``2^32`` is a double) and fails
-  for a NaN or an infinity; ``e`` on every other call.  On fewer coordinates
-  the bound's passes cost more than the cosines they save.
+* Where it runs.  One test per call: the bound runs on calls of at least
+  2048 coordinates whose ``z * z`` has no entry above ``2^32``, which holds
+  exactly when every ``|z| <= 2^16`` (rounding is monotone and ``2^32`` is
+  a double) and fails for a NaN or an infinity.  Every other call gets its
+  plain values.  On fewer coordinates the bound's passes cost more than the
+  cosines they save.
 * The rule.  A row is screened out only where its bound plus ``c`` lies
   strictly above its threshold, so its value does too; a value equal to
-  its threshold passes the Armijo test and is never screened.  A row with
-  an infinite coordinate has a NaN value (its cosine is NaN), which no
-  Armijo test accepts, and its bound may screen it; a NaN coordinate makes
-  the bound NaN, which screens nothing.
-* When.  Only once a call's bounds screen out at least a quarter of its
-  rows, since on fewer the gather of the kept rows costs more than their
-  cosines save.  The kept rows are computed by the very operations of the
-  whole kernel on an array of just those rows, which give every bit, NaN
-  signs included, whatever the row count.  ``ackley1d`` does not screen:
-  its sweep calls, about 200 points each, do not repay the bound's fixed
-  cost.
+  its threshold passes the Armijo test and is never screened.  A NaN or an
+  infinite coordinate never reaches the bound, since the guard gives its
+  call plain values.
+* The kept rows.  When the bound screens out no row, the call finishes in
+  place.  When it screens out any, the kept rows are computed by the very
+  operations of the whole kernel on an array of just those rows, which give
+  every bit, NaN signs included, whatever the row count.  ``ackley1d`` does
+  not screen: its sweep calls, about 200 points each, do not repay the
+  bound's fixed cost.
 """
 
 from __future__ import annotations
@@ -241,7 +239,7 @@ _TAYLOR_SLACK = 1e-9
 # The largest |z| for which the phase z * 2 pi rounds by under 1e-10.
 _TAYLOR_MAX_Z = 2.0**16
 # Coordinates per call below which the bound's passes cost more than the
-# cosines they save; such calls bound every row by _ACKLEY_WAVE_MAX.
+# cosines they save; such calls screen nothing.
 _TAYLOR_MIN_COORDS = 2048
 
 
@@ -270,30 +268,28 @@ def _ackley_wave_bound(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _ackley_screened(z: np.ndarray, thresholds: np.ndarray, shift_c: float) -> np.ndarray:
     """Ackley values, with +inf for rows whose value plus ``shift_c`` surely fails ``<= thresholds``.
 
-    A row is screened out when its lower bound plus ``shift_c`` lies
-    strictly above its threshold, and only once that holds for at least a
-    quarter of the rows; below that, every row gets its value.
+    On a call of at least ``_TAYLOR_MIN_COORDS`` coordinates, each at most
+    2^16 in magnitude, a row is screened out when its Taylor lower bound
+    plus ``shift_c`` lies strictly above its threshold.  Every other call
+    gets its plain values.
     """
     out, w = _ackley_radial(z)
     # Fails for any |z| above 2^16 and for a NaN or infinite coordinate.
     if z.size < _TAYLOR_MIN_COORDS or not w.max() <= _TAYLOR_MAX_Z**2:
-        low = out - _ACKLEY_WAVE_MAX
-    else:
-        low = _ackley_wave_bound(z, w)
-        np.subtract(out, low, out=low)
+        return _ackley_waves(out, z, w)
+    low = _ackley_wave_bound(z, w)
+    np.subtract(out, low, out=low)
     low += 20.0
     low += np.e
     low += shift_c
     above = low > thresholds
-    n_above = np.count_nonzero(above)
-    if 4 * n_above < out.size:
-        out = _ackley_waves(out, z, w)
-    else:
-        keep = (~above).nonzero()[0]
-        zk = z.take(keep, axis=0)
-        values = _ackley_waves(out.take(keep), zk, zk)
-        out = np.full(out.size, np.inf)
-        out.put(keep, values)
+    if not above.any():
+        return _ackley_waves(out, z, w)
+    keep = (~above).nonzero()[0]
+    zk = z.take(keep, axis=0)
+    values = _ackley_waves(out.take(keep), zk, zk)
+    out = np.full(out.size, np.inf)
+    out.put(keep, values)
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for the before/after pair script ``tools/bench_pairs.py``."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -93,3 +94,27 @@ def test_verdict_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_spread(chan
     table = bench_pairs.summary_table({"w": {"wall_s": row}}).splitlines()
     assert table[0].endswith("| verdict | change/parent |")
     assert table[2].split("|")[-3].strip() == verdict
+
+
+def test_a_checkout_that_is_not_a_fresh_copy_is_flagged_not_refused(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    for made in (".git/HEAD", ".pytest_cache/README.md", "src/swarmdescent/__pycache__/cli.pyc",
+                 "perfbench/__pycache__/run.pyc"):
+        (change / made).parent.mkdir(parents=True, exist_ok=True)
+        (change / made).write_text("")
+    ok = {"exit_code": 0, "correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: ok)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(parent), str(change), str(out), "--workloads", "w", "--pairs", "1"]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warnings == [f"warning: not a fresh copy: change {change} holds .git, .pytest_cache, "
+                        "src/swarmdescent/__pycache__, perfbench/__pycache__"]
+    assert json.loads(out.read_text())["leftovers"] == {
+        "parent": [], "change": [".git", ".pytest_cache", "src/swarmdescent/__pycache__", "perfbench/__pycache__"]}
+    # Two fresh copies give no warning.
+    for made in (".git", ".pytest_cache", "src", "perfbench/__pycache__"):
+        shutil.rmtree(change / made)
+    assert bench_pairs.main([str(parent), str(change), str(out), "--workloads", "w", "--pairs", "1"]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["leftovers"] == {"parent": [], "change": []}

@@ -1,5 +1,6 @@
 """Tests for the comparison of two captures in ``tools/capture_outputs.py``."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -68,3 +69,54 @@ def test_every_settable_key_has_an_every_key_capture_and_test():
     settable = {key for key, spec in CONFIG_KEYS.items() if spec.help is not None}
     assert settable - {"method"} == set(capture.ALL_KEYS) == set(_ALL_KEYS)
     assert capture.READS == _READS
+
+
+def test_digests_writes_a_manifest_of_the_capture(tmp_path, monkeypatch):
+    capture = _capture_outputs()
+    new, _ = _captures(tmp_path)
+    monkeypatch.setattr(capture, "commands", dict)  # capture nothing, write the manifest only
+    manifest = tmp_path / "digests.txt"
+    assert capture.main([str(new), "--digests", str(manifest)]) == 0
+    text = manifest.read_text()
+    assert text.splitlines()[1] == f"# environment: {capture.environment()}"
+    env, files = capture.read_manifest(text)
+    assert env == capture.environment()
+    assert files == capture.digests(new)
+    assert sorted(files) == ["added.stderr", "edited.rc", "same.stdout"]
+    assert files["edited.rc"] == hashlib.sha256(b"0\n").hexdigest()
+
+
+# Help at the pinned width, the seed variable, config files, CSV on stdout
+# and in written files, and a batch whose second job count starts a pool.
+_PINNED = ["help-bench", "error-seed-env", "run-flatbasin-gd08-n30", "error-unknown-key",
+           "sweep20-ackley1d-gdbt", "files-flatbasin", "bench-dropwave-sbgd11-n30-jobs2"]
+
+
+def test_in_process_captures_equal_the_subprocess_captures(tmp_path, monkeypatch):
+    # The runner sets COLUMNS and the seed variable for each command, over
+    # whatever this process holds, and restores them.
+    capture = _capture_outputs()
+    monkeypatch.setenv(capture.SEED_ENV_VAR, "123")
+    monkeypatch.setenv("COLUMNS", "200")
+    for in_process, name in ((False, "sub"), (True, "in")):
+        capture.capture(tmp_path / name, in_process=in_process, stems=_PINNED)
+    assert capture.differences(tmp_path / "in", tmp_path / "sub") == []
+    stems = {p.name.partition(".")[0] for p in (tmp_path / "in").iterdir()}
+    assert stems == set(_PINNED)
+    assert "SWARM_DESCENT_SEED must be an integer, got 'many'" in (tmp_path / "in" / "error-seed-env.stderr").read_text()
+    assert (tmp_path / "in" / "files-flatbasin.runs.csv").is_file()
+    assert capture.os.environ[capture.SEED_ENV_VAR] == "123" and capture.os.environ["COLUMNS"] == "200"
+
+
+def test_every_capture_matches_the_committed_manifest(tmp_path):
+    # Recomputes tools/capture_digests.txt in process.  The digests hold this
+    # numpy's and this libm's bits, so a run in another environment fails
+    # and names both, rather than skip.
+    capture = _capture_outputs()
+    want_env, want = capture.read_manifest((ROOT / "tools" / "capture_digests.txt").read_text())
+    capture.capture(tmp_path, in_process=True)
+    got_env, got = capture.environment(), capture.digests(tmp_path)
+    differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert not differ and got_env == want_env, (
+        f"{len(differ)} captured files differ from tools/capture_digests.txt: {', '.join(differ)}; "
+        f"the manifest was made with {want_env}, this run has {got_env}")

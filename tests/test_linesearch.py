@@ -453,7 +453,7 @@ def test_screened_ladder_matches_the_unscreened_one_bitwise(d, c):
     # Ackley screens trial points out by a lower bound; the ladder must take
     # the same steps, heights and counts as with every trial value exact,
     # near the minima and where the trial points cross |z| = 2^16, beyond
-    # which a call's bound falls back from the Taylor polynomial to e.
+    # which a call gets its plain values.
     obj = make_objective("ackley", d, shift_b=10.0, shift_c=-7.25)
     rng = np.random.default_rng(d)
     n = 300
@@ -466,8 +466,8 @@ def test_screened_ladder_matches_the_unscreened_one_bitwise(d, c):
         want_counts = np.zeros(n, dtype=int)
         want = backtrack_batch(_Unscreened(obj), X, G, coeff, params, F, counts=want_counts)
         assert 0 < np.count_nonzero(want[0]) < n
-        screened = {}
-        for bound, min_coords in (("taylor", objectives._TAYLOR_MIN_COORDS), ("e", np.inf)):
+        recordings = {}
+        for screen, min_coords in (("taylor", objectives._TAYLOR_MIN_COORDS), ("none", np.inf)):
             got_counts = np.zeros(n, dtype=int)
             recording = _Recording(obj)
             with mock.patch.object(objectives, "_TAYLOR_MIN_COORDS", min_coords):
@@ -475,15 +475,15 @@ def test_screened_ladder_matches_the_unscreened_one_bitwise(d, c):
             assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
             assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
             assert got[2] == want[2] and np.array_equal(got_counts, want_counts)
-            assert recording.infinite > sum(recording.sizes) // 4  # the screen ran
-            screened[bound] = recording.infinite
-        # Near the minima the Taylor bound screens out more trial points than
-        # e alone; across 2^16 each call long enough for the Taylor bound
-        # holds a point beyond 2^16, so e bounds every call either way.
+            recordings[screen] = recording
+        taylor = recordings["taylor"]
+        assert recordings["none"].infinite == 0
+        # Near the minima the Taylor bound screens; across 2^16 each call long
+        # enough for it holds a point beyond 2^16, so no call screens.
         if center is across:
-            assert screened["taylor"] == screened["e"]
+            assert taylor.infinite == 0
         else:
-            assert screened["taylor"] > screened["e"]
+            assert taylor.infinite > sum(taylor.sizes) // 4
     # The last agents straddle the guard: some rows have every |z| <= 2^16.
     inside = np.all(np.abs(X - obj.shift_b) <= 2.0**16, axis=1)
     assert 0 < np.count_nonzero(inside) < n

@@ -269,7 +269,7 @@ def _thresholds(want, picks):
     return options[picks, np.arange(want.size)]
 
 
-# The |z| beyond which a whole call is bounded by e instead of the Taylor bound.
+# The |z| beyond which a whole call gets its plain values instead of the screen.
 _GUARD = 2.0**16
 # Coordinates where the Taylor bound is tightest (within 1e-8 of an integer)
 # or loosest (half-integers), at the guard and one ulp either side of it,
@@ -294,9 +294,9 @@ def _screened_cases(draw):
     return obj, points, picks
 
 
-def _bound(taylor):
-    """Screen calls of every size with the Taylor bound, or every call with ``e`` alone."""
-    return mock.patch.object(objectives, "_TAYLOR_MIN_COORDS", 0 if taylor else np.inf)
+def _screens(on):
+    """Screen calls of every size within the guard by the Taylor bound, or no call at all."""
+    return mock.patch.object(objectives, "_TAYLOR_MIN_COORDS", 0 if on else np.inf)
 
 
 @settings(deadline=None, max_examples=400)
@@ -330,9 +330,14 @@ def test_screened_kernel_keeps_every_value_at_most_its_threshold_bitwise(case):
     with np.errstate(all="ignore"):
         want = reference_evaluate_many(obj, points)
         thresholds = _thresholds(want, picks)
-    for taylor in (False, True):
-        with np.errstate(all="ignore"), _bound(taylor):
+    for on in (False, True):
+        with np.errstate(all="ignore"), _screens(on):
             values = obj.evaluate_many(points, thresholds)
+        if not on:
+            # A call the screen does not run on gets every value exact.
+            assert not np.any(values == np.inf)
+            assert np.array_equal(_bits(values), _bits(want))
+            continue
         screened = _bits(values) != _bits(want)
         assert np.all(values[screened] == np.inf)
         # A screened row is one the Armijo test rejects: its value is strictly
@@ -369,22 +374,28 @@ def test_the_bound_equals_the_value_at_integer_points(d):
     assert np.all(np.cos(2.0 * np.pi * z) == 1.0)
     assert np.all(np.exp(np.mean(np.cos(2.0 * np.pi * z), axis=1)) <= _ACKLEY_WAVE_MAX)
     values = obj.evaluate_many(points)
-    # Each value is its own bound (the Taylor bound is no looser than e), so
-    # no threshold at or above it screens it out.
-    for taylor in (False, True):
-        with _bound(taylor):
-            assert np.array_equal(obj.evaluate_many(points, values), values)
-            assert np.all(obj.evaluate_many(points, np.nextafter(values, -np.inf)) == np.inf)
+    # Each value is its own Taylor bound, capped at e there, so no threshold
+    # at or above it screens it out; a call the screen does not run on keeps
+    # every value whatever its threshold.
+    below = np.nextafter(values, -np.inf)
+    with _screens(True):
+        assert np.array_equal(obj.evaluate_many(points, values), values)
+        assert np.all(obj.evaluate_many(points, below) == np.inf)
+    with _screens(False):
+        for thresholds in (values, below):
+            unscreened = obj.evaluate_many(points, thresholds)
+            assert not np.any(unscreened == np.inf)
+            assert np.array_equal(_bits(unscreened), _bits(reference_evaluate_many(obj, points)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 20])
 def test_the_taylor_bound_is_never_above_the_value_near_integer_points(d):
     # Within 1e-2 of an integer the computed cosine strays from the true one
-    # by the phase's rounding, which the margin covers up to |z| = 2^16 and
-    # the call's fallback to e beyond: a threshold equal to the value keeps
-    # every row.  Without its margin the bound screened out about 1200 of the
-    # 4096 rows up to 2^16 (d <= 3), and without its guard 1250-1958 of those
-    # up to 2^40.
+    # by the phase's rounding, which the margin covers up to |z| = 2^16;
+    # beyond it the call gets its plain values.  So a threshold equal to the
+    # value keeps every row.  Without its margin the bound screened out about
+    # 1200 of the 4096 rows up to 2^16 (d <= 3), and without its guard
+    # 1250-1958 of those up to 2^40.
     rng = np.random.default_rng(d)
     n = 4096
     for magnitude in (2**16, 2**40):
@@ -399,7 +410,7 @@ def test_the_taylor_bound_is_never_above_the_value_near_integer_points(d):
 def test_the_taylor_bound_is_within_its_margin_near_integer_points(d):
     # Where every |t| <= 1e-3 and |z| <= 2^16, the bound lies at most 4e-9
     # plus an ulp of the value below it, so a threshold further below screens
-    # every row; with e alone it lies about 5e-5 below at |t| = 1e-3.
+    # every row.
     rng = np.random.default_rng(d)
     n = _TAYLOR_MIN_COORDS  # at least _TAYLOR_MIN_COORDS coordinates, whatever d
     z = rng.integers(-2**16 + 1, 2**16, (n, d)) + rng.uniform(-1e-3, 1e-3, (n, d))
@@ -412,8 +423,9 @@ def test_the_taylor_bound_is_within_its_margin_near_integer_points(d):
 
 def test_the_taylor_bound_runs_from_its_coordinate_count_on():
     # At half-integers every cosine is -1 and exp(mean cos) = 1/e: the Taylor
-    # bound puts the value at most 0.77 above its bound, e alone 2.35, so a
-    # threshold 1 below the value screens only on the Taylor bound's calls.
+    # bound puts the value at most 0.77 above its bound, so a threshold 1
+    # below the value screens every row of a call long enough for the bound
+    # and none of a shorter call.
     obj = make_objective("ackley", 2)
     rows = _TAYLOR_MIN_COORDS // 2
     points = np.random.default_rng(3).integers(-50, 50, (rows, 2)) + 0.5
@@ -422,15 +434,12 @@ def test_the_taylor_bound_runs_from_its_coordinate_count_on():
     assert np.array_equal(obj.evaluate_many(points[1:], values[1:] - 1.0), values[1:])
 
 
-def test_a_call_beyond_the_guard_bounds_every_row_by_e_without_a_warning():
+def test_a_call_beyond_the_guard_gets_its_plain_values():
     # One call of 2048 coordinates, long enough for the Taylor bound, with a
-    # row beyond 2^16, a NaN and infinities: the whole call takes e, so the
-    # bound's z - rint(z) never meets an infinity.  Half-integer rows lie
-    # 2.35 above their bound e, so a threshold 3 below screens them;
-    # near-integer rows keep a threshold at their value.  An infinite
-    # coordinate's radial part is -0.0, so its bound, about 20, lies above a
-    # threshold of 0.  Only underflow passes: the radial exp of any point
-    # beyond 2^16 rounds to 0.
+    # row beyond 2^16, a NaN and infinities: the whole call gets its plain
+    # values, as without thresholds, and the bound never runs.  Its
+    # thresholds would screen rows out: half-integer rows lie at most 0.77
+    # above their Taylor bound and have thresholds 3 below their values.
     obj = make_objective("ackley", 2)
     rng = np.random.default_rng(5)
     rows = _TAYLOR_MIN_COORDS // 2
@@ -441,14 +450,36 @@ def test_a_call_beyond_the_guard_bounds_every_row_by_e_without_a_warning():
     with np.errstate(all="ignore"):
         want = reference_evaluate_many(obj, points)
     thresholds = np.where(half, want - 3.0, want)
-    thresholds[2:4] = 0.0
     refuse = mock.patch.object(objectives, "_ackley_wave_bound", side_effect=AssertionError)
-    with np.errstate(all="raise", under="ignore"), refuse as bound:
+    with np.errstate(all="ignore"), refuse as bound:
         values = obj.evaluate_many(points, thresholds)
     bound.assert_not_called()
+    assert not np.any(values == np.inf)
+    assert np.array_equal(_bits(values), _bits(want))
+    # With the first four rows inside the guard, the same thresholds screen
+    # out every half-integer row.
+    points[:4], thresholds[:4] = points[4:8], thresholds[4:8]
+    assert np.array_equal(obj.evaluate_many(points, thresholds) == np.inf, half)
+
+
+def test_a_taylor_call_that_screens_out_one_row_keeps_every_other_bitwise():
+    # A call just long enough for the bound, in which one half-integer row's
+    # threshold lies 1 below its value (at most 0.77 above its bound) and
+    # every other threshold lies at its own value: only that row is screened
+    # out, and the others are finished from the gathered rows.
+    obj = make_objective("ackley", 2, shift_b=10.0, shift_c=-7.25)
+    rng = np.random.default_rng(9)
+    rows = _TAYLOR_MIN_COORDS // 2
+    points = rng.uniform(-30.0, 30.0, (rows, 2))
+    out = 417
+    points[out] = [3.5, -12.5]
+    points[out] += obj.shift_b
+    want = reference_evaluate_many(obj, points)
+    thresholds = want.copy()
+    thresholds[out] -= 1.0
+    values = obj.evaluate_many(points, thresholds)
     screened = values == np.inf
-    # Every even row (rows 0 and 2 included) and the -inf row 3, no other.
-    assert np.all(screened[half]) and screened[3] and np.count_nonzero(screened) == rows // 2 + 1
+    assert screened[out] and np.count_nonzero(screened) == 1
     assert np.array_equal(_bits(values[~screened]), _bits(want[~screened]))
 
 

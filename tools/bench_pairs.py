@@ -14,8 +14,15 @@ change first in odd ones; ``S`` is the change's ``BENCHMARK.json``
 neither reads bytecode the other left behind.  The default workloads are
 all those ``BENCHMARK.json`` lists.
 
+Pairs are meant to run on two fresh copies (``git archive`` or ``git
+clone``): on a shared 2-vCPU VM, the change side run in a working checkout
+once read 1.03 where a fresh copy of the same tree read 0.99.  A checkout that holds ``.git``,
+``.hypothesis``, ``.pytest_cache`` or a ``__pycache__`` under ``src/`` or
+``perfbench/`` is named in one warning line on stderr; the run goes on.
+
 ``OUT.json`` gets every raw result, the digests of both sides' ``src/`` and
-of the shared benchmark, numpy's version and, for each workload and
+of the shared benchmark, what each side holds that a fresh copy would not
+(``leftovers``), numpy's version and, for each workload and
 end-to-end metric, each side's median and quartiles, the number of pairs
 the change won (ties count for neither side), the ratio of the change's
 median to the parent's, and whether that ratio is worse than the metric's
@@ -44,6 +51,8 @@ from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# What git, the tests and imports leave in a checkout; a fresh copy holds none.
+LEFTOVERS = (".git", ".hypothesis", ".pytest_cache")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -90,6 +99,14 @@ def benchmark_digest(checkout: Path) -> str:
     files = [p for p in bench.rglob("*") if p.is_file()
              and p.relative_to(bench).parts[0] != "out" and "__pycache__" not in p.parts]
     return files_digest(checkout, files + [checkout / "BENCHMARK.json"])
+
+
+def leftovers(checkout: Path) -> list[str]:
+    """The paths, relative to ``checkout``, it holds that a fresh copy would not."""
+    found = [name for name in LEFTOVERS if (checkout / name).exists()]
+    for top in ("src", "perfbench"):
+        found += sorted(p.relative_to(checkout).as_posix() for p in (checkout / top).rglob("__pycache__"))
+    return found
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -185,6 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     if bench_sha256["parent"] != bench_sha256["change"]:
         parser.error("the checkouts' perfbench/ files or BENCHMARK.json differ; "
                      "pairs must run the same benchmark on both sides")
+    stale = {side: leftovers(checkout) for side, checkout in checkouts.items()}
+    if any(stale.values()):
+        print("warning: not a fresh copy: " + "; ".join(
+            f"{side} {checkouts[side]} holds {', '.join(names)}" for side, names in stale.items() if names),
+            file=sys.stderr, flush=True)
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
@@ -208,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
                     "cpus": os.cpu_count()},
         "src_sha256": {side: source_digest(checkout) for side, checkout in checkouts.items()},
         "bench_sha256": bench_sha256["change"],
+        "leftovers": stale,
         "numpy": metadata.version("numpy"),
         "pairs": args.pairs,
         "seed_base": args.seed_base,

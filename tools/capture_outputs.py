@@ -1,12 +1,17 @@
 """Capture the CLI's output for every shipped preset, the basin sweeps, help and error paths.
 
-    python3 tools/capture_outputs.py DIR [--against OLD_DIR]
+    python3 tools/capture_outputs.py DIR [--in-process] [--digests FILE] [--against OLD_DIR]
 
 For each command below, writes ``DIR/<name>.stdout``, ``.stderr`` and
 ``.rc`` (the exit code), plus ``DIR/<name>.<file>`` for each file the
-command writes.  The commands run one at a time in fresh interpreters,
-against the package in this checkout's ``src/``, each in its own temporary
-directory, whose path reads ``TMP`` in the captured text:
+command writes.  The commands run one at a time, against the package in
+this checkout's ``src/``, each in its own temporary directory, whose path
+reads ``TMP`` in the captured text.  By default each runs in a fresh
+interpreter.  With ``--in-process`` each calls ``swarmdescent.cli.main`` in
+this process instead, with the same environment, working directory and
+warning filters a fresh interpreter would have; that takes seconds instead
+of a minute, and ``tests/test_capture_outputs.py`` checks that both modes
+write the same bytes.  The commands are:
 
 * ``bench --preset P --jobs 1`` and ``--jobs 2`` and ``run --preset P`` for
   every shipped preset, at the preset's own ``m``;
@@ -26,9 +31,9 @@ directory, whose path reads ``TMP`` in the captured text:
   must carry: ``bench --preset ackley2d-b10-gdbt-n100 --m 10 --c -7.25`` and
   ``bench --preset ackley20d-sbgd21-n50 --m 5 --c 1e6``;
 * an Ackley batch whose trial points cross ``|z| = 2^16``, where a ladder
-  call holding a point beyond it is bounded by ``e`` for every point instead
-  of the screened kernel's Taylor bound: ``bench --objective ackley --d 2
-  --method gdbt --n 20 --m 3 --init-box=65000,66100``;
+  call holding a point beyond it computes every value instead of screening
+  by the Taylor bound: ``bench --objective ackley --d 2 --method gdbt --n 20
+  --m 3 --init-box=65000,66100``;
 * for each method, every config key set to a value other than its default,
   by config file (``bench`` and ``run``) and by flags (``bench``); the flags
   case passes only the method keys that method reads, since a flag that the
@@ -48,6 +53,13 @@ directory, whose path reads ``TMP`` in the captured text:
   ``gdbt``, ``--h`` to ``sbgd``, ``--mu`` to ``ackley``, and ``--n``,
   ``--seed`` and ``--init-box`` to a sweep.
 
+With ``--digests FILE``, the SHA-256 of every file in ``DIR`` is written to
+``FILE``, one ``sha256  name`` line each, after a header that names the
+Python and numpy versions and the platform.  ``tools/capture_digests.txt``
+is that manifest for this tree, and ``tests/test_capture_outputs.py``
+recomputes it in process: a change that alters a captured byte on purpose
+updates the manifest in the same diff.
+
 With ``--against OLD_DIR``, the new capture is then compared byte for byte
 with an earlier one, for example of the parent of a change that must not
 alter any result: each file that differs, or that only one of the two
@@ -58,12 +70,18 @@ Capture into a new or empty ``DIR``, so that no stale file takes part.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+import warnings
+from importlib import metadata
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -217,6 +235,121 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
     return out
 
 
+def _set_environ(env: dict[str, str | None]) -> None:
+    for key, value in env.items():
+        if value is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = value
+
+
+@contextlib.contextmanager
+def _environ(env: dict[str, str | None]):
+    """``os.environ`` updated by ``env``, where None unsets a variable, and restored on exit."""
+    saved = {key: os.environ.get(key) for key in env}
+    _set_environ(env)
+    try:
+        yield
+    finally:
+        _set_environ(saved)
+
+
+def run_subprocess(argv: list[str], env: dict[str, str | None]) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of one command in a fresh interpreter, in the working directory.
+
+    ``env`` updates this process's environment for the command; None unsets a variable.
+    """
+    with _environ({"PYTHONPATH": str(SRC), **env}):
+        proc = subprocess.run([sys.executable, "-m", "swarmdescent", *argv], capture_output=True, text=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def run_in_process(argv: list[str], env: dict[str, str | None]) -> tuple[str, str, int]:
+    """What :func:`run_subprocess` returns, from ``swarmdescent.cli.main`` called in this process.
+
+    Warnings print to stderr under a fresh interpreter's filters and numpy's
+    default error handling, each once per command, and line ends are
+    translated as a text-mode pipe does.
+    """
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    import numpy as np
+
+    from swarmdescent.cli import main
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    out, err = io.StringIO(newline=None), io.StringIO(newline=None)
+    with _environ(env), warnings.catch_warnings(), np.errstate(all="warn", under="ignore"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.resetwarnings()
+        for category in (DeprecationWarning, PendingDeprecationWarning, ImportWarning, ResourceWarning):
+            warnings.simplefilter("ignore", category)
+        warnings.showwarning = show
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code or 0
+    return out.getvalue(), err.getvalue(), code
+
+
+def capture(out_dir: Path, in_process: bool = False, stems=None) -> None:
+    """Write the capture files of every command, or of the commands named in ``stems``, into ``out_dir``."""
+    run = run_in_process if in_process else run_subprocess
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    for stem, (args, extra_env) in commands().items():
+        if stems is not None and stem not in stems:
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in CONFIG_FILES.items():
+                Path(tmp, name).write_text(text)
+            os.chdir(tmp)
+            try:
+                stdout, stderr, code = run([a.replace(TMP, tmp) for a in args],
+                                           {"COLUMNS": "80", SEED_ENV_VAR: None, **extra_env})
+            finally:
+                os.chdir(cwd)
+            written = {p.name: p.read_text() for p in Path(tmp).iterdir() if p.name not in CONFIG_FILES}
+        texts = {"stdout": stdout, "stderr": stderr, "rc": f"{code}\n", **written}
+        for suffix, text in texts.items():
+            (out_dir / f"{stem}.{suffix}").write_text(text.replace(tmp, "TMP"))
+        print(f"{stem}: exit {code}", flush=True)
+
+
+def environment() -> str:
+    """The versions the captured bits depend on: Python, numpy, and the platform with its C library."""
+    libc = " ".join(platform.libc_ver())
+    return (f"python {platform.python_version()}, numpy {metadata.version('numpy')}, "
+            f"{platform.system()} {platform.machine()} {libc}")
+
+
+def digests(directory: Path) -> dict[str, str]:
+    """SHA-256 of each file in ``directory``, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+def manifest(directory: Path) -> str:
+    """The digest manifest of a capture: a header naming :func:`environment`, then one line per file."""
+    lines = ["# SHA-256 of each file tools/capture_outputs.py writes.",
+             f"# environment: {environment()}"]
+    lines += [f"{digest}  {name}" for name, digest in digests(directory).items()]
+    return "\n".join(lines) + "\n"
+
+
+def read_manifest(text: str) -> tuple[str, dict[str, str]]:
+    """The environment and the digests by file name that :func:`manifest` wrote."""
+    env, files = None, {}
+    for line in text.splitlines():
+        if line.startswith("# environment: "):
+            env = line.removeprefix("# environment: ")
+        elif not line.startswith("#"):
+            digest, name = line.split("  ", 1)
+            files[name] = digest
+    return env, files
+
+
 def differences(new: Path, old: Path) -> list[str]:
     """One line for each file that differs between two captures or that only one holds."""
     names = {p.name for p in new.iterdir()} | {p.name for p in old.iterdir()}
@@ -234,31 +367,21 @@ def differences(new: Path, old: Path) -> list[str]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("dir", type=Path, help="directory to capture into")
+    parser.add_argument("--in-process", action="store_true",
+                        help="call the CLI in this process instead of in fresh interpreters")
+    parser.add_argument("--digests", type=Path, metavar="FILE",
+                        help="write the SHA-256 manifest of the capture to FILE")
     parser.add_argument("--against", type=Path, metavar="OLD_DIR",
                         help="an earlier capture to compare the new one with")
     opts = parser.parse_args(argv)
     if opts.against is not None and not opts.against.is_dir():
         parser.error(f"--against: no directory {opts.against}")
-    out_dir = opts.dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base_env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
-    base_env.pop(SEED_ENV_VAR, None)
-    for stem, (args, extra_env) in commands().items():
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, text in CONFIG_FILES.items():
-                Path(tmp, name).write_text(text)
-            proc = subprocess.run(
-                [sys.executable, "-m", "swarmdescent", *(a.replace(TMP, tmp) for a in args)],
-                capture_output=True, text=True, env={**base_env, **extra_env}, cwd=tmp,
-            )
-            written = {p.name: p.read_text() for p in Path(tmp).iterdir() if p.name not in CONFIG_FILES}
-        texts = {"stdout": proc.stdout, "stderr": proc.stderr, "rc": f"{proc.returncode}\n", **written}
-        for suffix, text in texts.items():
-            (out_dir / f"{stem}.{suffix}").write_text(text.replace(tmp, "TMP"))
-        print(f"{stem}: exit {proc.returncode}", flush=True)
+    capture(opts.dir, opts.in_process)
+    if opts.digests is not None:
+        opts.digests.write_text(manifest(opts.dir))
     if opts.against is None:
         return 0
-    found = differences(out_dir, opts.against)
+    found = differences(opts.dir, opts.against)
     for line in found:
         print(line)
     print(f"{len(found)} files differ from {opts.against}" if found
