@@ -12,8 +12,10 @@ a rung no longer shrinks (``gamma * h`` rounds back to ``h`` among the
 subnormal numbers, which a zero floor lets the ladder reach), the search
 reports a stall: step 0 and the unchanged objective value.
 
-The ladder restarts from ``h0`` on every call, so its first rungs are made
-once per ``(h0, gamma, h_floor)`` and cached.  Every agent still searching
+The ladder restarts from ``h0`` on every call, so its rungs are made once and
+cached, in runs of at most ``_MAX_POINTS``: the first run is keyed on
+``(h0, gamma, h_floor)`` and each later one on the rung after the last of the
+run before, and a block ends where its run ends.  Every agent still searching
 sits on the same rung, so :func:`backtrack_batch` evaluates the ladder in
 rung blocks: one objective call covers several consecutive rungs
 for all searching agents, and each agent takes the first rung of the block
@@ -88,8 +90,8 @@ _MIN_COORDS = 2048
 # well inside it (the 1-D sweeps around rung 53 of a 306-rung ladder, 90% by
 # rung 84), so longer blocks would mostly evaluate rungs past the accepted one.
 _LONE_RUNGS = 128
-# Bound on the points of one call, which keeps a long ladder (gamma near 1)
-# from building one huge trial array.
+# Bound on the points of one call and on the rungs of one cached run, which
+# keeps a long ladder (gamma near 1) from building one huge array.
 _MAX_POINTS = 8192
 # Rungs up to which a block's first accepted rungs are found row by row, a
 # few whole-row operations per rung; a longer block takes argmax, whose
@@ -144,14 +146,15 @@ def _shrink(h: float, gamma: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _ladder(h0: float, gamma: float, h_floor: float) -> np.ndarray:
-    """The ladder's first rungs, at most ``_MAX_POINTS`` of them, as a read-only array.
+def _ladder(h: float, gamma: float, h_floor: float) -> np.ndarray:
+    """The run of rungs from ``h``, at most ``_MAX_POINTS`` of them, as a read-only array.
 
+    ``h`` is any rung that starts a run: ``h0``, or the rung after the last
+    of a full run.  The run is empty when ``h`` is at or below the floor.
     Every call with the same parameters walks the same rungs, so they are
     made once, by the repeated shrink a rung-by-rung search applies.
     """
     rungs = []
-    h = h0
     while len(rungs) < _MAX_POINTS and h > h_floor:
         rungs.append(h)
         h = _shrink(h, gamma)
@@ -244,23 +247,14 @@ def backtrack_batch(
     h_out, f_out = np.zeros(n), f_base.copy()
     # The searching agents and their rows: the inputs themselves until some accept.
     idx, Xs, Gs, gs, fs, cs = np.arange(n), X, G, g_sq, f_base, coeff
-    prefix = _ladder(params.h0, params.gamma, params.h_floor)
-    # The rung after the cached prefix, 0 when the ladder ends within it.
-    h_next = _shrink(float(prefix[-1]), params.gamma) if prefix.size == _MAX_POINTS else 0.0
-    walked = 0
+    # The cached run of rungs being walked, the rungs walked in it and in all.
+    run, start, walked = _ladder(params.h0, params.gamma, params.h_floor), 0, 0
     block = 1
-    while idx.size and (walked < prefix.size or h_next > params.h_floor):
+    while idx.size and start < run.size:
         m = idx.size
         floor = min(_LONE_RUNGS, -(-_MIN_COORDS // (m * d)))
         size = min(max(block, floor), max(1, _MAX_POINTS // m))
-        h_block = prefix[walked:walked + size]
-        if h_block.size < size and h_next > params.h_floor:
-            # Past the prefix, the next rungs by the same repeated shrink.
-            rungs = []
-            while h_block.size + len(rungs) < size and h_next > params.h_floor:
-                rungs.append(h_next)
-                h_next = _shrink(h_next, params.gamma)
-            h_block = np.concatenate((h_block, rungs))
+        h_block = run[start:start + size]
         k = h_block.size
         # The trial points x - h g, formed in the array that holds h g.
         trial = h_block[:, None, None] * Gs
@@ -287,7 +281,11 @@ def backtrack_batch(
             idx, Xs, Gs, gs, fs = (a.take(rest, axis=0) for a in (idx, Xs, Gs, gs, fs))
             cs = cs.take(rest) if coeff.ndim else cs
         walked += k
+        start += k
         block *= 2
+        if start == _MAX_POINTS:
+            # A full run walked: the next starts at the rung after its last, and is empty past the floor.
+            run, start = _ladder(_shrink(float(run[-1]), params.gamma), params.gamma, params.h_floor), 0
     else:
         # The ladder ran out: the agents left searching walked all of it and stalled.
         tried[idx] = walked

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from per_run_oracle import one_row_backtrack, oracle_batch
@@ -21,6 +21,7 @@ from swarmdescent.linesearch import (
     BacktrackParams,
     _first_accepted,
     _ladder,
+    _shrink,
     backtrack_batch,
 )
 from swarmdescent.objectives import make_objective
@@ -599,6 +600,9 @@ def test_g_sq_must_have_one_entry_per_agent():
 
 @settings(deadline=None, max_examples=3)
 @given(_ladder_cases(_LONG_LADDERS, max_agents=4))
+# A lone stalled agent on a 9195-rung ladder: its blocks of 128 rungs and up
+# end at rung 4864, so the next block of 4096 would cross rung 8192.
+@example((QUAD1, np.ones((1, 1)), np.ones((1, 1)), 0.2, BacktrackParams(gamma=0.9965), np.full(1, -1e6)))
 def test_ladders_past_the_cached_prefix_match_rung_by_rung_bitwise(case):
     obj, X, G, c, params, F = case
     assert _ladder(params.h0, params.gamma, params.h_floor).size == _MAX_POINTS
@@ -625,14 +629,35 @@ def test_interleaved_ladders_match_rung_by_rung_bitwise(case, ladders):
         _assert_matches_rung_by_rung((obj, X, G, c, params, F))
 
 
-@pytest.mark.parametrize("gamma, floor", [(0.9, 1e-14), (0.6, 0.0), (0.999999, 1e-14)])
+@pytest.mark.parametrize("gamma, floor", [(0.9, 1e-14), (0.6, 0.0), (0.999, 1e-14), (0.999999, 1e-14)])
 def test_cached_prefix_is_bounded_and_read_only(gamma, floor):
+    # The cached runs of the ladder's first 4 * _MAX_POINTS rungs: all of it
+    # but at gamma 0.999999, and 4 runs at gamma 0.999.
     assert _ladder.cache_info().maxsize is not None
-    prefix = _ladder(1.0, gamma, floor)
-    assert 0 < prefix.size <= _MAX_POINTS
-    assert not prefix.flags.writeable
-    with pytest.raises(ValueError):
-        prefix[0] = 2.0
+    rungs, h = [], 1.0
+    while h > floor and len(rungs) < 4 * _MAX_POINTS:
+        rungs.append(h)
+        h = h * gamma if h * gamma < h else 0.0
+    runs = [_ladder(1.0, gamma, floor)]
+    while runs[-1].size == _MAX_POINTS and len(runs) < 4:
+        runs.append(_ladder(_shrink(float(runs[-1][-1]), gamma), gamma, floor))
+    assert len(runs) == (4 if gamma > 0.99 else 1)
+    for run in runs:
+        assert 0 < run.size <= _MAX_POINTS
+        assert not run.flags.writeable
+        with pytest.raises(ValueError):
+            run[0] = 2.0
+    assert np.array_equal(_bits(np.concatenate(runs)), _bits(rungs))
+    if h > floor:
+        return
+    # Two stalled agents walk every run; a second search makes none of them again.
+    X = np.array([[1.0], [-2.0]])
+    case = (QUAD1, X, X, 0.2, BacktrackParams(gamma=gamma, h_floor=floor), np.full(2, -1e6))
+    backtrack_batch(*case)
+    misses = _ladder.cache_info().misses
+    h_new, _, n_evals = backtrack_batch(*case)
+    assert _ladder.cache_info().misses == misses
+    assert np.all(h_new == 0.0) and n_evals == 2 * len(rungs)
 
 
 _STALL_WITH_ZERO_FLOOR = """

@@ -34,6 +34,14 @@ write the same bytes.  The commands are:
   call holding a point beyond it computes every value instead of screening
   by the Taylor bound: ``bench --objective ackley --d 2 --method gdbt --n 20
   --m 3 --init-box=65000,66100``;
+* three long or stalling ladders: ``run --objective ackley1d --n 1 --tolres
+  0 --gamma 0.999 --max-iters 3000``, whose lone agent walks the whole
+  32221-rung ladder, past its first cached run of 8192 rungs, and stops as a
+  single stalled agent; ``bench --objective ackley --d 2 --method gdbt
+  --gamma 0.999 --n 5 --m 2 --seed 1``, whose agents accept past rung 8192;
+  and ``bench --objective ackley1d --method gdbt --n 3 --m 3 --tolres 0
+  --max-iters 200``, whose agents run out of ladder sweep after sweep and
+  stop at ``max_iters``;
 * for each method, every config key set to a value other than its default,
   by config file (``bench`` and ``run``) and by flags (``bench``); the flags
   case passes only the method keys that method reads, since a flag that the
@@ -223,6 +231,12 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
                                 "--jobs", "1"]
     out["guard-ackley2d"] = ["bench", "--objective", "ackley", "--d", "2", "--method", "gdbt", "--n", "20",
                              "--m", "3", "--jobs", "1", "--init-box=65000,66100"]
+    out["stall-ackley1d-gamma0.999"] = ["run", "--objective", "ackley1d", "--n", "1", "--tolres", "0",
+                                        "--gamma", "0.999", "--max-iters", "3000"]
+    out["long-ladder-ackley2d-gdbt"] = ["bench", "--objective", "ackley", "--d", "2", "--method", "gdbt",
+                                        "--gamma", "0.999", "--n", "5", "--m", "2", "--seed", "1", "--jobs", "1"]
+    out["stall-ackley1d-gdbt"] = ["bench", "--objective", "ackley1d", "--method", "gdbt", "--n", "3", "--m", "3",
+                                  "--tolres", "0", "--max-iters", "200", "--jobs", "1"]
     for method in METHODS:
         config = f"{TMP}/all-keys-{method}.json"
         out[f"all-keys-{method}-bench-config"] = ["bench", "--config", config, "--jobs", "1"]
