@@ -425,21 +425,19 @@ def method_from_dict(doc: dict) -> SBGDParams | BaselineParams:
 _TOP_LEVEL = {key: spec.field for key, spec in CONFIG_KEYS.items() if spec.field and "." not in spec.field}
 
 
-def config_from_dict(doc: dict, objective: Objective | None = None,
-                     method: SBGDParams | BaselineParams | None = None) -> ExperimentConfig:
+def config_from_dict(doc: dict, objective: Objective, method: SBGDParams | BaselineParams) -> ExperimentConfig:
     """The experiment a flat config document describes.
 
-    ``n``, ``m`` and ``seed`` are required; the other keys the document
-    leaves unset take the defaults of the classes they configure.
-    ``objective`` and ``method``, when given, are the ones it names, built.
+    ``objective`` and ``method`` are the ones it names, built.  ``n``, ``m``
+    and ``seed`` are required; without ``init_box`` the config's own box
+    applies.
     """
     box = {}
     if "init_box" in doc:
         if len(doc["init_box"]) != 2:
             raise ValueError(f"init_box must be [lo, hi], got {doc['init_box']!r}")
         box = {"init_lo": doc["init_box"][0], "init_hi": doc["init_box"][1]}
-    return ExperimentConfig(objective=objective_from_dict(doc) if objective is None else objective,
-                            method=method_from_dict(doc) if method is None else method,
+    return ExperimentConfig(objective=objective, method=method,
                             **{field: doc[key] for key, field in _TOP_LEVEL.items()}, **box)
 
 

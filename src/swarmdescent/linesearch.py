@@ -150,15 +150,18 @@ def _ladder(h: float, gamma: float, h_floor: float) -> np.ndarray:
     """The run of rungs from ``h``, at most ``_MAX_POINTS`` of them, as a read-only array.
 
     ``h`` is any rung that starts a run: ``h0``, or the rung after the last
-    of a full run.  The run is empty when ``h`` is at or below the floor.
-    Every call with the same parameters walks the same rungs, so they are
-    made once, by the repeated shrink a rung-by-rung search applies.
+    of a full run.  Every call with the same parameters walks the same
+    rungs, so they are made once, by the rung-by-rung search's repeated
+    multiply in one ``np.multiply.accumulate``.  The run ends before the
+    first rung at or below the floor or no smaller than the one before
+    (where :func:`_shrink` gives 0), and is copied out of the full buffer.
     """
-    rungs = []
-    while len(rungs) < _MAX_POINTS and h > h_floor:
-        rungs.append(h)
-        h = _shrink(h, gamma)
-    out = np.array(rungs)
+    rungs = np.full(_MAX_POINTS, gamma)
+    rungs[0] = h
+    np.multiply.accumulate(rungs, out=rungs)
+    ended = rungs <= h_floor
+    ended[1:] |= rungs[1:] >= rungs[:-1]
+    out = rungs[:ended.argmax() if ended.any() else _MAX_POINTS].copy()
     out.flags.writeable = False
     return out
 
@@ -237,7 +240,7 @@ def backtrack_batch(
     f_base = np.asarray(f_current, dtype=float)
     if f_base.shape != (n,):
         raise ValueError(f"f_current must have shape ({n},), got {f_base.shape}")
-    g_sq = _row_sum(G * G, no_negative_zero=True) if g_sq is None else np.asarray(g_sq, dtype=float)
+    g_sq = _row_sum(G * G) if g_sq is None else np.asarray(g_sq, dtype=float)
     if g_sq.shape != (n,):
         raise ValueError(f"g_sq must have shape ({n},), got {g_sq.shape}")
     tried = np.empty(n, dtype=int) if counts is None else counts

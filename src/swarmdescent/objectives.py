@@ -16,11 +16,12 @@ callers see bit-identical arithmetic.
 Each kernel computes, bit for bit, what its formula written as one
 whole-array numpy expression computes (``tests/kernel_oracle.py`` keeps
 those expressions).  Every sum or mean over a point's coordinates is
-:func:`_row_sum` (a mean divides it by ``d``, as ``np.mean`` does).  It adds narrow rows column by column in numpy's own
-order, at a fraction of numpy's reduction set-up.  No column the kernels
-sum can hold ``-0.0`` (they are squares, cosines, which are never exactly
-0, and Rastrigin's terms, which end in ``+ 10``), so those sums start from
-the first column instead of from ``+0.0 +`` it.
+:func:`_row_sum` (a mean divides it by ``d``, as ``np.mean`` does).  It
+adds narrow rows column by column in numpy's own order, at a fraction of
+numpy's reduction set-up.  No column the kernels sum can hold ``-0.0``
+(they are squares, cosines, which are never exactly 0, and Rastrigin's
+terms, which end in ``+ 10``), so ``_row_sum`` takes that as given of the
+first column and starts from it instead of from ``+0.0 +`` it.
 
 The gradients and the Rosenbrock and quadratic values are plain
 expressions: a step makes one gradient call but a ladder of value calls,
@@ -146,28 +147,26 @@ OBJECTIVE_NAMES = tuple(kind.value for kind in ObjectiveKind)
 _SEQUENTIAL_SUM = 8
 
 
-def _row_sum(a: np.ndarray, *, no_negative_zero: bool = False) -> np.ndarray:
+def _row_sum(a: np.ndarray) -> np.ndarray:
     """``np.sum(a, axis=1)`` bit for bit, without the reduction machinery on narrow rows.
 
-    numpy adds a row of fewer than 8 values one by one onto ``+0.0`` (so a
-    row of ``-0.0`` sums to ``+0.0``); from 8 values on it sums pairwise,
-    which only its own reduction reproduces.  A single row also goes to the
-    reduction, since adding its columns in place would pick the wrong NaN.
+    numpy adds a row of fewer than 8 values one by one onto ``+0.0``; from 8
+    values on it sums pairwise, which only its own reduction reproduces.  A
+    single row also goes to the reduction, since adding its columns in place
+    would pick the wrong NaN.
 
-    ``no_negative_zero`` states that the first column holds no ``-0.0``
-    (squares, cosines, anything plus a non-zero constant).  Then ``+0.0 +
-    a[:, 0]`` is ``a[:, 0]`` itself, NaNs included, so the sum starts from
-    the first two columns and saves a pass.
+    The first column must hold no ``-0.0``, as no column the kernels sum
+    does (squares, cosines, anything plus a non-zero constant).  Then
+    ``+0.0 + a[:, 0]`` is ``a[:, 0]`` itself, NaNs included, so a narrow sum
+    starts from the first two columns and saves a pass; a single column is
+    ``a[:, 0] + 0.0``.
     """
     if a.shape[1] >= _SEQUENTIAL_SUM or a.shape[0] == 1:
         return np.add.reduce(a, axis=1)
-    if no_negative_zero and a.shape[1] > 1:
-        total = a[:, 0] + a[:, 1]
-        start = 2
-    else:
-        total = a[:, 0] + 0.0
-        start = 1
-    for j in range(start, a.shape[1]):
+    if a.shape[1] == 1:
+        return a[:, 0] + 0.0
+    total = a[:, 0] + a[:, 1]
+    for j in range(2, a.shape[1]):
         total += a[:, j]
     return total
 
@@ -196,7 +195,7 @@ def _flat_basin_grads(z: np.ndarray) -> np.ndarray:
 def _ackley_radial(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """-20 exp(-0.2|z|/sqrt(d)), and the temporary ``z * z`` free for reuse."""
     w = z * z
-    out = _row_sum(w, no_negative_zero=True)
+    out = _row_sum(w)
     np.sqrt(out, out=out)
     out *= -0.2 / np.sqrt(z.shape[1])
     np.exp(out, out=out)
@@ -211,7 +210,7 @@ def _ackley_waves(out: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     np.multiply(z, 2.0 * np.pi, out=w)
     np.cos(w, out=w)
-    cos_avg = _row_sum(w, no_negative_zero=True)
+    cos_avg = _row_sum(w)
     cos_avg /= z.shape[1]
     np.exp(cos_avg, out=cos_avg)
     out -= cos_avg
@@ -252,9 +251,9 @@ def _ackley_wave_bound(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     np.rint(z, out=w)
     np.subtract(z, w, out=w)
     w *= w
-    bound = _row_sum(w, no_negative_zero=True)
+    bound = _row_sum(w)
     w *= w
-    quartic = _row_sum(w, no_negative_zero=True)
+    quartic = _row_sum(w)
     bound *= _TAYLOR_2
     quartic *= _TAYLOR_4
     bound -= quartic
@@ -295,11 +294,11 @@ def _ackley_screened(z: np.ndarray, thresholds: np.ndarray, shift_c: float) -> n
 
 def _ackley_grads(z: np.ndarray) -> np.ndarray:
     d = z.shape[1]
-    r = np.sqrt(_row_sum(z * z, no_negative_zero=True))
+    r = np.sqrt(_row_sum(z * z))
     radial = np.divide(4.0 / np.sqrt(d) * np.exp(-0.2 / np.sqrt(d) * r), r,
                        out=np.zeros_like(r), where=r > 0.0)
     phase = 2.0 * np.pi * z
-    cos_avg = _row_sum(np.cos(phase), no_negative_zero=True) / d
+    cos_avg = _row_sum(np.cos(phase)) / d
     waves = (2.0 * np.pi / d) * np.exp(cos_avg)[:, None] * np.sin(phase)
     grads = radial[:, None] * z + waves
     # The radial term has a cone tip at the minimizer; use the zero subgradient there.
@@ -315,7 +314,7 @@ def _rastrigin_values(z: np.ndarray) -> np.ndarray:
     terms = z * z
     terms -= waves
     terms += 10.0
-    out = _row_sum(terms, no_negative_zero=True)
+    out = _row_sum(terms)
     out /= z.shape[1]
     return out
 
@@ -326,7 +325,7 @@ def _rastrigin_grads(z: np.ndarray) -> np.ndarray:
 
 def _drop_wave_values(z: np.ndarray) -> np.ndarray:
     """-(1 + cos(12|z|)) / (|z|^2/2 + 2), global minimum -1 at the origin."""
-    r2 = _row_sum(z * z, no_negative_zero=True)
+    r2 = _row_sum(z * z)
     out = np.sqrt(r2)
     out *= 12.0
     np.cos(out, out=out)
@@ -339,7 +338,7 @@ def _drop_wave_values(z: np.ndarray) -> np.ndarray:
 
 
 def _drop_wave_grads(z: np.ndarray) -> np.ndarray:
-    r2 = _row_sum(z * z, no_negative_zero=True)
+    r2 = _row_sum(z * z)
     r = np.sqrt(r2)
     safe_r = np.where(r > 0.0, r, 1.0)
     u = 1.0 + np.cos(12.0 * r)
@@ -368,7 +367,7 @@ def _rosenbrock_grads(z: np.ndarray) -> np.ndarray:
 
 def _quadratic_values(z: np.ndarray, mu: float) -> np.ndarray:
     """mu |z|^2 / 2 -- strongly convex with known curvature, for rate checks."""
-    return 0.5 * mu * _row_sum(z * z, no_negative_zero=True)
+    return 0.5 * mu * _row_sum(z * z)
 
 
 def _quadratic_grads(z: np.ndarray, mu: float) -> np.ndarray:

@@ -61,7 +61,7 @@ def _row_norms(diffs: np.ndarray) -> np.ndarray:
     expression so that single-agent trajectories of the two code paths agree
     bit for bit.
     """
-    return np.sqrt(_row_sum(diffs * diffs, no_negative_zero=True))
+    return np.sqrt(_row_sum(diffs * diffs))
 
 
 def _as_starts(obj: Objective, init_positions) -> np.ndarray:
@@ -211,15 +211,15 @@ class IterationStats:
     elimination, in order, with ``runs`` their run labels and
     ``ladder_evals`` each one's trial evaluations; ``positions``/``masses``/
     ``heights`` describe the post-merge swarm and alias the new swarm's
-    arrays.  The counts are totals over the runs the swarm holds.
-    ``residual`` holds one entry per run, in label order; in the history of
-    a lone run (every ``run_sbgd`` history) it is that run's float.
+    arrays.  ``eliminated`` and ``merged`` count over all the runs the
+    swarm holds, whose step took ``ladder_evals.sum()`` objective and
+    ``runs.size`` gradient evaluations.  ``residual`` holds one entry per
+    run, in label order; in the history of a lone run (every ``run_sbgd``
+    history) it is that run's float.
     """
 
     eliminated: int
     merged: int
-    objective_evals: int
-    gradient_evals: int
     heights_before: np.ndarray
     grad_sq_norms: np.ndarray
     effective_descent: np.ndarray
@@ -433,9 +433,9 @@ def sbgd_iteration(
 
     # (3) mass-weighted backtracking step for every agent of every run.
     grads = obj.gradient_many(pos)
-    g_sq = _row_sum(grads * grads, no_negative_zero=True)
+    g_sq = _row_sum(grads * grads)
     ladder = np.empty(pos.shape[0], dtype=int)
-    h, f_step, evals = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, g_sq=g_sq, counts=ladder)
+    h, f_step, _ = backtrack_batch(obj, pos, grads, coeff, params.backtrack, f, g_sq=g_sq, counts=ladder)
     new_pos = pos - h[:, None] * grads
 
     merged_pos, merged_m, merged_f, merged_runs = new_pos, m_new, f_step, runs
@@ -458,8 +458,6 @@ def sbgd_iteration(
     stats = IterationStats(
         eliminated=eliminated,
         merged=merged_away,
-        objective_evals=evals,
-        gradient_evals=pos.shape[0],
         heights_before=f,
         grad_sq_norms=g_sq,
         effective_descent=coeff,

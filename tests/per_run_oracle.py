@@ -82,8 +82,6 @@ def _sbgd_step(pos, m, f, n0, obj, params):
     record = {
         "eliminated": int(keep.size - np.count_nonzero(keep)),
         "merged": merged,
-        "objective_evals": evals,
-        "gradient_evals": h.size,
         "heights_before": f,
         "grad_sq_norms": np.sum(grads * grads, axis=1),
         "effective_descent": coeff,

@@ -200,9 +200,10 @@ class TestRunExperiment:
     def test_config_document_errors(self):
         doc = {"objective": "quadratic", "d": 1, "method": "sbgd", "n": 1, "m": 1, "seed": 0}
         with pytest.raises(ValueError, match="unknown method 'newton'; expected one of: sbgd, "):
-            harness.config_from_dict({**doc, "method": "newton"})
+            harness.method_from_dict({**doc, "method": "newton"})
         with pytest.raises(ValueError, match=r"init_box must be \[lo, hi\], got \[1.0, 2.0, 3.0\]"):
-            harness.config_from_dict({**doc, "init_box": [1.0, 2.0, 3.0]})
+            harness.config_from_dict({**doc, "init_box": [1.0, 2.0, 3.0]},
+                                     harness.objective_from_dict(doc), harness.method_from_dict(doc))
 
     @pytest.mark.parametrize("lo, hi", [
         (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan),

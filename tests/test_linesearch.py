@@ -629,21 +629,29 @@ def test_interleaved_ladders_match_rung_by_rung_bitwise(case, ladders):
         _assert_matches_rung_by_rung((obj, X, G, c, params, F))
 
 
-@pytest.mark.parametrize("gamma, floor", [(0.9, 1e-14), (0.6, 0.0), (0.999, 1e-14), (0.999999, 1e-14)])
-def test_cached_prefix_is_bounded_and_read_only(gamma, floor):
+@pytest.mark.parametrize("h0, gamma, floor", [
+    (1.0, 0.9, 1e-14), (1.0, 0.999, 1e-14), (1.0, 0.999999, 1e-14),
+    # Ladders that end at 0, which a zero floor lets them reach, or on a
+    # subnormal rung that no longer shrinks.
+    (1.0, 0.4, 0.0), (1.0, 0.5, 0.0), (1.0, 0.6, 0.0),
+    (5e-324, 0.4, 0.0), (5e-324, 0.6, 0.0), (1e-310, 0.4, 0.0), (1e-310, 0.6, 0.0),
+])
+def test_cached_prefix_is_bounded_and_read_only(h0, gamma, floor):
     # The cached runs of the ladder's first 4 * _MAX_POINTS rungs: all of it
     # but at gamma 0.999999, and 4 runs at gamma 0.999.
     assert _ladder.cache_info().maxsize is not None
-    rungs, h = [], 1.0
+    rungs, h = [], h0
     while h > floor and len(rungs) < 4 * _MAX_POINTS:
         rungs.append(h)
         h = h * gamma if h * gamma < h else 0.0
-    runs = [_ladder(1.0, gamma, floor)]
+    runs = [_ladder(h0, gamma, floor)]
     while runs[-1].size == _MAX_POINTS and len(runs) < 4:
         runs.append(_ladder(_shrink(float(runs[-1][-1]), gamma), gamma, floor))
     assert len(runs) == (4 if gamma > 0.99 else 1)
     for run in runs:
         assert 0 < run.size <= _MAX_POINTS
+        # The run owns exactly its rungs, not a view of a longer buffer.
+        assert run.base is None
         assert not run.flags.writeable
         with pytest.raises(ValueError):
             run[0] = 2.0
@@ -652,7 +660,7 @@ def test_cached_prefix_is_bounded_and_read_only(gamma, floor):
         return
     # Two stalled agents walk every run; a second search makes none of them again.
     X = np.array([[1.0], [-2.0]])
-    case = (QUAD1, X, X, 0.2, BacktrackParams(gamma=gamma, h_floor=floor), np.full(2, -1e6))
+    case = (QUAD1, X, X, 0.2, BacktrackParams(gamma=gamma, h0=h0, h_floor=floor), np.full(2, -1e6))
     backtrack_batch(*case)
     misses = _ladder.cache_info().misses
     h_new, _, n_evals = backtrack_batch(*case)

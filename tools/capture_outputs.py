@@ -42,6 +42,13 @@ write the same bytes.  The commands are:
   and ``bench --objective ackley1d --method gdbt --n 3 --m 3 --tolres 0
   --max-iters 200``, whose agents run out of ladder sweep after sweep and
   stop at ``max_iters``;
+* three batches whose objectives sum rows of 3 to 7 coordinates, which the
+  row sum adds column by column: ``bench --objective ackley --d 3 --method
+  gdbt --n 20 --m 3 --seed 1``, ``bench --objective rastrigin --d 5 --method
+  sbgd --n 10 --m 3 --seed 1`` and ``bench --objective dropwave --d 7
+  --method sbgd --n 10 --m 2 --seed 1``;
+* the Rosenbrock kernels, by ``bench --objective rosenbrock2d --method M --n
+  5 --m 2 --seed 1 --max-iters 100`` for the methods ``gdbt`` and ``sbgd``;
 * for each method, every config key set to a value other than its default,
   by config file (``bench`` and ``run``) and by flags (``bench``); the flags
   case passes only the method keys that method reads, since a flag that the
@@ -93,10 +100,13 @@ from importlib import metadata
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from swarmdescent.harness import CONFIG_KEYS, METHOD_NAMES, SEED_ENV_VAR  # noqa: E402
+
 SWEEP_OBJECTIVES = ("ackley1d", "rastrigin1d", "flatbasin1d")
 SWEEP_METHODS = ("sbgd", "gdbt")
-METHODS = ("sbgd", "gd", "gdbt", "adam")
-SEED_ENV_VAR = "SWARM_DESCENT_SEED"
 TMP = "{tmp}"
 
 # Every config key at a value other than its default, each value distinct.
@@ -106,18 +116,15 @@ ALL_KEYS = {
     "gamma": 0.8, "h0": 0.5, "tolm": 0.002, "tolmerge": 0.01, "tolres": 0.001, "max_iters": 50,
 }
 
-# The method keys each method reads.
-READS = {
-    "sbgd": ("p", "q", "lambda", "gamma", "h0", "tolm", "tolmerge", "tolres", "max_iters"),
-    "gd": ("h", "tolres", "max_iters"),
-    "gdbt": ("lambda", "gamma", "h0", "tolres", "max_iters"),
-    "adam": ("h", "tolres", "max_iters"),
-}
+# The settable method keys each method reads.
+READS = {method: tuple(key for key, spec in CONFIG_KEYS.items() if spec.help is not None
+                       and (spec.field or "").startswith("method.") and method in spec.methods)
+         for method in METHOD_NAMES}
 METHOD_KEYS = {key for keys in READS.values() for key in keys}
 
 # Config files written into each command's directory, by file name.
 CONFIG_FILES = {
-    **{f"all-keys-{m}.json": json.dumps({**ALL_KEYS, "method": m}) for m in METHODS},
+    **{f"all-keys-{m}.json": json.dumps({**ALL_KEYS, "method": m}) for m in METHOD_NAMES},
     "unknown-key.json": json.dumps({"objective": "quadratic", "d": 1, "frobnicate": 1}),
     "wrong-type.json": json.dumps({"objective": "quadratic", "d": 1, "n": "ten"}),
     "unknown-method.json": json.dumps({"objective": "quadratic", "d": 1, "method": "newton"}),
@@ -237,7 +244,15 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
                                         "--gamma", "0.999", "--n", "5", "--m", "2", "--seed", "1", "--jobs", "1"]
     out["stall-ackley1d-gdbt"] = ["bench", "--objective", "ackley1d", "--method", "gdbt", "--n", "3", "--m", "3",
                                   "--tolres", "0", "--max-iters", "200", "--jobs", "1"]
-    for method in METHODS:
+    for name, objective, d, method, n, m in (("ackley3d", "ackley", 3, "gdbt", 20, 3),
+                                             ("rastrigin5d", "rastrigin", 5, "sbgd", 10, 3),
+                                             ("dropwave7d", "dropwave", 7, "sbgd", 10, 2)):
+        out[f"row-sum-{name}-{method}"] = ["bench", "--objective", objective, "--d", str(d), "--method", method,
+                                           "--n", str(n), "--m", str(m), "--seed", "1", "--jobs", "1"]
+    for method in ("gdbt", "sbgd"):
+        out[f"rosenbrock2d-{method}"] = ["bench", "--objective", "rosenbrock2d", "--method", method, "--n", "5",
+                                         "--m", "2", "--seed", "1", "--max-iters", "100", "--jobs", "1"]
+    for method in METHOD_NAMES:
         config = f"{TMP}/all-keys-{method}.json"
         out[f"all-keys-{method}-bench-config"] = ["bench", "--config", config, "--jobs", "1"]
         out[f"all-keys-{method}-run-config"] = ["run", "--config", config]
@@ -285,8 +300,6 @@ def run_in_process(argv: list[str], env: dict[str, str | None]) -> tuple[str, st
     default error handling, each once per command, and line ends are
     translated as a text-mode pipe does.
     """
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
     import numpy as np
 
     from swarmdescent.cli import main
