@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,14 +44,16 @@ class BaselineParams:
 
     ``h`` is the fixed step of GD and the step scale of Adam; the
     backtracking variant takes its ladder from ``backtrack`` instead.
+    Adam's moment decays and denominator guard are class constants rather
+    than arguments.
     """
 
     method: BaselineMethod
     h: float = 0.1
     backtrack: BacktrackParams = BacktrackParams()
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
     tolres: float = 1e-4
     max_iters: int = 10000
 
@@ -59,10 +62,6 @@ class BaselineParams:
             raise ValueError(f"method must be a BaselineMethod, got {self.method!r}")
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
-        if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
-            raise ValueError("adam betas must lie in [0, 1)")
-        if not self.adam_eps > 0.0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         if not self.tolres >= 0.0:
             raise ValueError(f"tolres must be non-negative, got {self.tolres}")
         if self.max_iters < 1:
@@ -153,8 +152,7 @@ def _run(obj: Objective, starts, params: BaselineParams, history: list | None) -
     # floods an agent with inf/nan.  Such an agent retires (its residual
     # comparison is false) and simply never counts as a success.
     with np.errstate(over="ignore", invalid="ignore"):
-        engine = _Sweeps(obj, params, starts)
-        return _lockstep(engine, engine.n_runs, params.max_iters, history)
+        return _lockstep(_Sweeps(obj, params, starts), history)
 
 
 def run_baseline_batch(obj: Objective, init_positions, params: BaselineParams) -> list[RunResult]:

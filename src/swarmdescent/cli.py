@@ -26,6 +26,7 @@ import numpy as np
 
 from .harness import (
     CONFIG_KEYS,
+    HIST_BIN_WIDTH,
     SEED_ENV_VAR,
     basin_sweep,
     config_from_dict,
@@ -165,7 +166,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for flag, value in (("--hist-bin-width", args.hist_bin_width), ("--hist-coord", args.hist_coord)):
             if value is not None:
                 raise ConfigError(f"{flag} needs --hist")
-    bin_width = 1e-4 if args.hist_bin_width is None else args.hist_bin_width
+    bin_width = HIST_BIN_WIDTH if args.hist_bin_width is None else args.hist_bin_width
     cfg = config_from_dict(*_merge_config(args))
     if args.hist is not None:
         histogram_coord(cfg.objective.dimension, bin_width, args.hist_coord)

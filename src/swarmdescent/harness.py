@@ -14,10 +14,10 @@ batch is split into at most ``jobs`` contiguous blocks of at least
 small for two such blocks runs in this process.  The report is the same for
 any ``jobs``.
 
-A run succeeds when its solution lies in the closed box
-``[x* - half_width, x* + half_width]^d``.  Error metrics follow the
-conventions of the benchmark tables: ``mean_sq_error`` carries a ``1/d``
-normalization, ``avg_loss`` averages the objective at the solutions.
+A run succeeds when its solution lies in the closed box ``[x* - w, x* +
+w]^d``, ``w`` being ``ExperimentConfig.success_half_width``.  Error metrics
+follow the conventions of the benchmark tables: ``mean_sq_error`` carries a
+``1/d`` normalization, ``avg_loss`` averages the objective at the solutions.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from operator import attrgetter
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 SEED_ENV_VAR = "SWARM_DESCENT_SEED"
+# The bin width of solution_histogram and of the CLI's --hist without --hist-bin-width.
+HIST_BIN_WIDTH = 1e-4
 METHOD_NAMES = ("sbgd", *(method.value for method in BaselineMethod))
 
 
@@ -59,11 +62,12 @@ METHOD_NAMES = ("sbgd", *(method.value for method in BaselineMethod))
 class ConfigKey:
     """One key of the flat config document that presets, config files and flags share.
 
-    ``help`` is the flag's help, ``None`` for a fixed parameter the report
-    echoes but no source sets; ``choices`` limits the flag's values.  A run
-    reads the key when its command, method and objective are all among the
-    key's.  ``field`` is its attribute path in an :class:`ExperimentConfig`;
-    only keys no parameter class owns have a ``default``.
+    ``help`` is the flag's help, ``None`` for a fixed parameter: a class
+    constant of its parameter class, which the report echoes but no source
+    sets.  ``choices`` limits the flag's values.  A run reads the key when
+    its command, method and objective are all among the key's.  ``field``
+    is its attribute path in an :class:`ExperimentConfig`; only keys no
+    parameter class owns have a ``default``.
     """
 
     kind: type
@@ -121,6 +125,7 @@ class ExperimentConfig:
 
     ``init_lo``/``init_hi`` are the per-coordinate bounds of the uniform
     initialization box; scalars are broadcast to the objective's dimension.
+    ``success_half_width`` is the class constant :func:`is_success` reads.
     """
 
     objective: Objective
@@ -130,7 +135,7 @@ class ExperimentConfig:
     seed: int
     init_lo: tuple[float, ...] = (-3.0,)
     init_hi: tuple[float, ...] = (3.0,)
-    success_half_width: float = 0.25
+    success_half_width: ClassVar[float] = 0.25
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, (SBGDParams, BaselineParams)):
@@ -151,8 +156,6 @@ class ExperimentConfig:
             raise ValueError(f"init box must satisfy lo < hi componentwise, got {lo} and {hi}")
         object.__setattr__(self, "init_lo", lo)
         object.__setattr__(self, "init_hi", hi)
-        if not self.success_half_width > 0.0:
-            raise ValueError(f"success_half_width must be positive, got {self.success_half_width}")
 
     @staticmethod
     def _as_bound(value, d: int) -> tuple[float, ...]:
@@ -192,13 +195,13 @@ class CorrectionResult:
     iterations: int
 
 
-def is_success(x_sol, x_star, half_width: float = 0.25) -> bool:
-    """True iff ``x_sol`` lies in the closed box ``[x* - hw, x* + hw]^d``."""
+def is_success(x_sol, x_star) -> bool:
+    """True iff ``x_sol`` lies in the closed box ``[x* - w, x* + w]^d``, ``w = success_half_width``."""
     a = np.atleast_1d(np.asarray(x_sol, dtype=float))
     b = np.atleast_1d(np.asarray(x_star, dtype=float))
     if a.shape != b.shape:
         raise ValueError(f"x_sol and x_star must have equal shapes, got {a.shape} and {b.shape}")
-    return bool(np.all(np.abs(a - b) <= half_width))
+    return bool(np.all(np.abs(a - b) <= ExperimentConfig.success_half_width))
 
 
 def sample_initial_positions(cfg: ExperimentConfig, run_index: int) -> np.ndarray:
@@ -266,7 +269,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentRep
             blocks = pool.map(_run_block, repeat(cfg), edges[:-1], edges[1:])
             results = [r for block in blocks for r in block]
     x_star = cfg.objective.minimizer
-    successes = [is_success(r.x_sol, x_star, cfg.success_half_width) for r in results]
+    successes = [is_success(r.x_sol, x_star) for r in results]
     solutions = np.stack([r.x_sol for r in results])
     diffs = solutions - x_star
     d = cfg.objective.dimension
@@ -283,25 +286,19 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = 1) -> ExperimentRep
 
 
 def precondition_and_correct(
-    report: ExperimentReport,
-    obj: Objective | None = None,
-    grad_tol: float = 1e-3,
-    params: BacktrackParams | None = None,
-    max_iters: int = 10000,
+    report: ExperimentReport, grad_tol: float = 1e-3, max_iters: int = 10000
 ) -> CorrectionResult:
     """Refine the batch's mean solution by full-weight backtracking descent.
 
     Averaging the per-run solutions cancels symmetric scatter; the descent
-    then pulls the average onto the nearby critical point, stopping once
-    ``|grad F| < grad_tol``.  A stalled line search (step 0: the Armijo
-    condition fails at floating-point resolution) also ends the descent,
-    which near conical minima is as converged as double precision allows.
+    then pulls the average onto the nearby critical point of the batch's
+    objective, on its method's ladder, stopping once ``|grad F| <
+    grad_tol``.  A stalled line search (step 0: the Armijo condition fails
+    at floating-point resolution) also ends the descent, which near conical
+    minima is as converged as double precision allows.
     ``converged`` reports whether the gradient test itself was met.
     """
-    if obj is None:
-        obj = report.config.objective
-    if params is None:
-        params = report.config.method.backtrack
+    obj, params = report.config.objective, report.config.method.backtrack
     # One agent, as a one-row batch.
     x = np.array(report.mean_solution, dtype=float, ndmin=2)
     f = obj.evaluate_many(x)
@@ -346,7 +343,7 @@ def histogram_coord(d: int, bin_width: float, coord: int | None) -> int:
 
 
 def solution_histogram(
-    per_run: list[RunResult], bin_width: float = 1e-4, coord: int | None = None
+    per_run: list[RunResult], bin_width: float = HIST_BIN_WIDTH, coord: int | None = None
 ) -> list[tuple[float, int]]:
     """Histogram of one solution coordinate with fixed-width bins.
 

@@ -7,15 +7,13 @@ first ``h`` satisfying the sufficient-decrease condition
 
 where ``g`` is the gradient at ``x`` and ``c`` is the effective descent
 coefficient (the base ``lam``, optionally scaled down by a relative-mass
-weight).  If the ladder reaches ``h_floor`` without an acceptable step, or
-a rung no longer shrinks (``gamma * h`` rounds back to ``h`` among the
-subnormal numbers, which a zero floor lets the ladder reach), the search
-reports a stall: step 0 and the unchanged objective value.
+weight).  If the ladder reaches ``h_floor`` without an acceptable step, the
+search reports a stall: step 0 and the unchanged objective value.
 
 The ladder restarts from ``h0`` on every call, so its rungs are made once and
 cached, in runs of at most ``_MAX_POINTS``: the first run is keyed on
-``(h0, gamma, h_floor)`` and each later one on the rung after the last of the
-run before, and a block ends where its run ends.  Every agent still searching
+``(h0, gamma)`` and each later one on the rung after the last of the run
+before, and a block ends where its run ends.  Every agent still searching
 sits on the same rung, so :func:`backtrack_batch` evaluates the ladder in
 rung blocks: one objective call covers several consecutive rungs
 for all searching agents, and each agent takes the first rung of the block
@@ -72,6 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -117,50 +116,48 @@ class BacktrackParams:
     gamma : float
         Ladder shrink factor in (0, 1).
     h0 : float
-        Largest (first) trial step.
+        Largest (first) trial step, finite and above ``h_floor``.
     h_floor : float
-        Stall threshold: once trial steps drop to or below this the search
-        gives up and returns step 0.
+        Stall threshold, a class constant rather than an argument: once
+        trial steps drop to or below it the search gives up and returns
+        step 0.
     """
 
     lam: float = 0.2
     gamma: float = 0.9
     h0: float = 1.0
-    h_floor: float = 1e-14
+    h_floor: ClassVar[float] = 1e-14
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.h0 > 0.0:
-            raise ValueError(f"h0 must be positive, got {self.h0}")
-        if not 0.0 <= self.h_floor < self.h0:
-            raise ValueError(f"h_floor must lie in [0, h0), got {self.h_floor}")
-
-
-def _shrink(h: float, gamma: float) -> float:
-    """The rung after ``h``: ``h * gamma``, or 0 once that no longer shrinks."""
-    shrunk = h * gamma
-    return shrunk if shrunk < h else 0.0
+        if not self.h_floor < self.h0 < np.inf:
+            raise ValueError(f"h0 must be finite and above h_floor = {self.h_floor}, got {self.h0}")
 
 
 @lru_cache(maxsize=8)
-def _ladder(h: float, gamma: float, h_floor: float) -> np.ndarray:
+def _ladder(h: float, gamma: float) -> np.ndarray:
     """The run of rungs from ``h``, at most ``_MAX_POINTS`` of them, as a read-only array.
 
     ``h`` is any rung that starts a run: ``h0``, or the rung after the last
     of a full run.  Every call with the same parameters walks the same
     rungs, so they are made once, by the rung-by-rung search's repeated
     multiply in one ``np.multiply.accumulate``.  The run ends before the
-    first rung at or below the floor or no smaller than the one before
-    (where :func:`_shrink` gives 0), and is copied out of the full buffer.
+    first rung at or below the floor, and is copied out of the full buffer.
+
+    Every rung shrinks, so the ladder reaches the floor.  A rung above the
+    floor is a normal double ``h = s 2^e`` with ``1 <= s < 2``, and ``gamma
+    <= 1 - 2^-53``, so the exact ``h * gamma`` lies at least ``s 2^(e-53)``
+    below ``h``.  For ``s > 1`` that is more than half of ``h``'s ulp
+    ``2^(e-52)``, and for ``s = 1`` it is at least the spacing ``2^(e-53)``
+    of the binade below; either way it rounds to nearest below ``h``.
     """
     rungs = np.full(_MAX_POINTS, gamma)
     rungs[0] = h
     np.multiply.accumulate(rungs, out=rungs)
-    ended = rungs <= h_floor
-    ended[1:] |= rungs[1:] >= rungs[:-1]
+    ended = rungs <= BacktrackParams.h_floor
     out = rungs[:ended.argmax() if ended.any() else _MAX_POINTS].copy()
     out.flags.writeable = False
     return out
@@ -251,7 +248,7 @@ def backtrack_batch(
     # The searching agents and their rows: the inputs themselves until some accept.
     idx, Xs, Gs, gs, fs, cs = np.arange(n), X, G, g_sq, f_base, coeff
     # The cached run of rungs being walked, the rungs walked in it and in all.
-    run, start, walked = _ladder(params.h0, params.gamma, params.h_floor), 0, 0
+    run, start, walked = _ladder(params.h0, params.gamma), 0, 0
     block = 1
     while idx.size and start < run.size:
         m = idx.size
@@ -288,7 +285,7 @@ def backtrack_batch(
         block *= 2
         if start == _MAX_POINTS:
             # A full run walked: the next starts at the rung after its last, and is empty past the floor.
-            run, start = _ladder(_shrink(float(run[-1]), params.gamma), params.gamma, params.h_floor), 0
+            run, start = _ladder(float(run[-1]) * params.gamma, params.gamma), 0
     else:
         # The ladder ran out: the agents left searching walked all of it and stalled.
         tried[idx] = walked

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -151,7 +151,8 @@ class SBGDParams:
     the step-weight exponent: an agent of relative mass ``m~`` takes the
     Armijo coefficient ``backtrack.lam * m~^q``, so heavier agents demand
     more decrease.  ``q`` is checked first, so that a document with a bad
-    ``q`` and another bad key reports ``q``.
+    ``q`` and another bad key reports ``q``.  ``eps_eta``, the regularizer
+    of the relative heights, is a class constant rather than an argument.
     """
 
     p: float = 1.0
@@ -160,7 +161,7 @@ class SBGDParams:
     tolm: float = 1e-4
     tolmerge: float = 1e-3
     tolres: float = 1e-4
-    eps_eta: float = 1e-10
+    eps_eta: ClassVar[float] = 1e-10
     max_iters: int = 10000
 
     def __post_init__(self) -> None:
@@ -171,8 +172,6 @@ class SBGDParams:
         for name in ("tolm", "tolmerge", "tolres"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not self.eps_eta > 0.0:
-            raise ValueError(f"eps_eta must be positive, got {self.eps_eta}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
@@ -473,13 +472,14 @@ def sbgd_iteration(
     return _Swarm(merged_pos, merged_m, merged_f, merged_runs), residual, stats
 
 
-def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) -> list[RunResult]:
-    """Advance ``n_runs`` runs together, one step at a time, until each stops.
+def _lockstep(engine, history: list | None = None) -> list[RunResult]:
+    """Advance the engine's runs together, one step at a time, until each stops.
 
     This is the one run loop of the package: the swarm and the baselines
     supply engines that hold the agents of the runs still going.  An engine
-    provides ``objective_evals``, each run's evaluations before the first
-    step; ``advance()``, which steps every live run once and returns each
+    provides ``n_runs``; ``params``, whose ``max_iters`` caps the steps;
+    ``objective_evals``, each run's evaluations before the first step;
+    ``advance()``, which steps every live run once and returns each
     run's objective and gradient evaluations in that step (arrays of length
     ``n_runs``) and a dict mapping each run that stopped in that step to its
     :class:`StopReason`; ``solutions(runs)``, for a list of runs that are
@@ -490,6 +490,7 @@ def _lockstep(engine, n_runs: int, max_iters: int, history: list | None = None) 
     going after ``max_iters`` steps stops with ``MAX_ITERS``.  Results come
     back in run order.
     """
+    n_runs, max_iters = engine.n_runs, engine.params.max_iters
     objective_evals = np.array(engine.objective_evals, dtype=int)
     gradient_evals = np.zeros(n_runs, dtype=int)
     results: list = [None] * n_runs
@@ -582,8 +583,7 @@ def run_sbgd_batch(obj: Objective, init_positions, params: SBGDParams = SBGDPara
     Result ``k`` equals ``run_sbgd(obj, init_positions[k], params)`` bit for
     bit, whatever the other runs are.
     """
-    engine = _SwarmRuns(obj, params, init_positions)
-    return _lockstep(engine, engine.n_runs, params.max_iters)
+    return _lockstep(_SwarmRuns(obj, params, init_positions))
 
 
 def run_sbgd(
@@ -598,4 +598,4 @@ def run_sbgd(
     0), or ``max_iters``.  The best final agent provides ``x_sol``/``f_sol``.
     """
     engine = _SwarmRuns(obj, params, np.array(init_positions, dtype=float, ndmin=2)[None])
-    return _lockstep(engine, 1, params.max_iters, [] if keep_history else None)[0]
+    return _lockstep(engine, [] if keep_history else None)[0]

@@ -145,10 +145,6 @@ class TestValidation:
             BaselineParams(method="gd")
         with pytest.raises(ValueError, match="h must be positive"):
             _params(BaselineMethod.GD_FIXED, h=0.0)
-        with pytest.raises(ValueError, match="betas"):
-            _params(BaselineMethod.ADAM, adam_beta1=1.0)
-        with pytest.raises(ValueError, match="adam_eps"):
-            _params(BaselineMethod.ADAM, adam_eps=0.0)
         with pytest.raises(ValueError, match="max_iters"):
             _params(BaselineMethod.GD_FIXED, max_iters=0)
         for tolres in (-1.0, float("nan")):

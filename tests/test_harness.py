@@ -1,6 +1,7 @@
 """Tests for the experiment harness: sampling, aggregation, corrections, I/O."""
 
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -67,10 +68,6 @@ class TestSuccess:
         assert is_success([1.25], [1.0])
         assert is_success([0.75], [1.0])
         assert not is_success([1.0 + 0.2500001], [1.0])
-
-    def test_custom_half_width(self):
-        assert is_success([1.4], [1.0], half_width=0.5)
-        assert not is_success([1.4], [1.0], half_width=0.25)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -193,8 +190,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             _quad_config(init_lo=(-3.0, -3.0, -3.0))
         with pytest.raises(ValueError):
-            _quad_config(success_half_width=0.0)
-        with pytest.raises(ValueError):
             _quad_config(method="sbgd")
 
     def test_config_document_errors(self):
@@ -204,6 +199,40 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"init_box must be \[lo, hi\], got \[1.0, 2.0, 3.0\]"):
             harness.config_from_dict({**doc, "init_box": [1.0, 2.0, 3.0]},
                                      harness.objective_from_dict(doc), harness.method_from_dict(doc))
+
+    def test_fixed_parameters_are_class_constants(self):
+        # A key no source sets (help None) reads a class constant, which no
+        # constructor takes; every settable method or objective key is a field.
+        for key, spec in harness.CONFIG_KEYS.items():
+            owner, _, path = (spec.field or "").partition(".")
+            if owner == "objective":
+                holders = [make_objective("quadratic", 1)]
+            elif owner == "method":
+                holders = [harness.method_from_dict({"method": name}) for name in spec.methods]
+            else:
+                continue
+            *parents, name = path.split(".")
+            for holder in holders:
+                for parent in parents:
+                    holder = getattr(holder, parent)
+                fields = {f.name for f in dataclasses.fields(holder)}
+                if spec.help is None:
+                    assert name not in fields and getattr(type(holder), name) == getattr(holder, name), key
+                else:
+                    assert name in fields, key
+
+    def test_fixed_parameters_are_not_arguments(self):
+        report = run_experiment(_quad_config(n_runs=1))
+        for call in (lambda: _quad_config(success_half_width=0.5),
+                     lambda: is_success([1.4], [1.0], half_width=0.5),
+                     lambda: precondition_and_correct(report, obj=make_objective("quadratic", 2)),
+                     lambda: precondition_and_correct(report, params=BacktrackParams()),
+                     lambda: BacktrackParams(h_floor=1e-10),
+                     lambda: SBGDParams(eps_eta=1e-6),
+                     lambda: BaselineParams(method=BaselineMethod.ADAM, adam_beta1=0.5)):
+            with pytest.raises(TypeError):
+                call()
+        assert ExperimentConfig.success_half_width == report.config.success_half_width == 0.25
 
     @pytest.mark.parametrize("lo, hi", [
         (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan),
@@ -230,7 +259,7 @@ class TestCorrection:
             per_run=[],
             successes=[],
         )
-        corr = precondition_and_correct(report, obj=obj)
+        corr = precondition_and_correct(report)
         assert np.array_equal(corr.x_corrected, obj.minimizer)
         assert corr.err_inf == 0.0
         assert corr.converged
@@ -239,7 +268,7 @@ class TestCorrection:
     def test_descends_mean_onto_the_minimum(self):
         obj = make_objective("quadratic", 1)
         report = ExperimentReport(
-            config=_quad_config(),
+            config=_quad_config(objective=obj),
             success_rate=1.0,
             mean_sq_error=0.0,
             mean_abs_error=0.0,
@@ -248,7 +277,7 @@ class TestCorrection:
             per_run=[],
             successes=[],
         )
-        corr = precondition_and_correct(report, obj=obj, params=BacktrackParams())
+        corr = precondition_and_correct(report)
         assert corr.converged
         assert corr.iterations == 1
         assert corr.err_inf == 0.0

@@ -283,8 +283,6 @@ class TestValidation:
         for name in ("tolm", "tolmerge", "tolres"):
             with pytest.raises(ValueError, match=f"{name} must be non-negative"):
                 SBGDParams(**{name: float("nan")})
-        with pytest.raises(ValueError, match="eps_eta"):
-            SBGDParams(eps_eta=0.0)
         with pytest.raises(ValueError, match="max_iters"):
             SBGDParams(max_iters=0)
 
@@ -296,7 +294,7 @@ class TestValidation:
                 SBGDParams(q=bad)
         # A bad q is reported ahead of every other bad field.
         with pytest.raises(ValueError, match="^q must be positive"):
-            SBGDParams(q=0.0, p=0.0, tolm=-1.0, eps_eta=0.0, max_iters=0)
+            SBGDParams(q=0.0, p=0.0, tolm=-1.0, max_iters=0)
         with pytest.raises(TypeError):
             BacktrackParams(q=1.0)
 

@@ -55,7 +55,9 @@ write the same bytes.  The commands are:
   run does not read is an error;
 * the usage and configuration errors (exit code 2): unknown, mistyped and
   missing keys, objectives, presets and methods, a preset named by a path, a
-  config file that is not JSON and one that holds a JSON array, malformed
+  config file that sets the class constant ``h_floor`` and one that sets
+  ``eps_eta``, which no source may set, a config file that is not JSON and
+  one that holds a JSON array, malformed
   init boxes, out-of-range parameters, a bad ``q`` beside a bad ``p`` and
   beside a bad ``lambda`` (which error wins), each float key set to ``nan``,
   ``inf`` and ``-inf`` by flag, an init box of infinite width by flag and
@@ -131,6 +133,8 @@ CONFIG_FILES = {
     "init-box-arity.json": json.dumps({"objective": "quadratic", "d": 1, "init_box": [1.0, 2.0, 3.0]}),
     "init-box-infinite.json": json.dumps({"objective": "ackley", "d": 2, "method": "gdbt", "n": 3, "m": 2,
                                           "init_box": [[-math.inf, 0.0], [1.0, 2.0]]}),
+    "fixed-h-floor.json": json.dumps({"objective": "quadratic", "d": 1, "h_floor": 1e-10}),
+    "fixed-eps-eta.json": json.dumps({"objective": "quadratic", "d": 1, "eps_eta": 1e-6}),
     "not-json.json": "{",
     "not-object.json": "[1, 2]",
 }
@@ -143,6 +147,8 @@ ERRORS = {
     "unknown-key": ["run", "--config", f"{TMP}/unknown-key.json"],
     "wrong-type": ["run", "--config", f"{TMP}/wrong-type.json"],
     "wrong-type-flag": ["run", "--objective", "quadratic", "--d", "two"],
+    "fixed-h-floor": ["run", "--config", f"{TMP}/fixed-h-floor.json"],
+    "fixed-eps-eta": ["run", "--config", f"{TMP}/fixed-eps-eta.json"],
     "config-absent": ["run", "--config", f"{TMP}/absent.json"],
     "config-not-json": ["run", "--config", f"{TMP}/not-json.json"],
     "config-not-object": ["run", "--config", f"{TMP}/not-object.json"],
