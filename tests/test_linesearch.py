@@ -646,6 +646,9 @@ def test_interleaved_ladders_match_rung_by_rung_bitwise(case, ladders):
 
 @pytest.mark.parametrize("h0, gamma", [
     (1.0, 0.9), (1.0, 0.999), (1.0, 0.999999),
+    # One run from the default step down to the floor, with gamma below, at
+    # and above 1/2.
+    (1.0, 0.4), (1.0, 0.5), (1.0, 0.6),
     # Ladders of a few rungs, and of one, from steps near the floor.
     (1e-13, 0.4), (1.5e-14, 0.9), (1.05e-14, 0.5),
 ])
