@@ -236,7 +236,7 @@ def _parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--csv", help="also write one CSV row per run to this path")
     p_bench.add_argument("--hist", help="also write a solution histogram CSV to this path")
     p_bench.add_argument("--hist-bin-width", dest="hist_bin_width", type=float, default=None,
-                         help="histogram bin width (default 1e-4)")
+                         help=f"histogram bin width (default {HIST_BIN_WIDTH})")
     p_bench.add_argument("--hist-coord", dest="hist_coord", type=int, default=None,
                          help="solution coordinate to histogram (default: the only one)")
     p_bench.set_defaults(func=cmd_bench)

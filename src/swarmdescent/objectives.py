@@ -9,9 +9,7 @@ where the scalar ``b`` shifts the argument along the all-ones direction and
 covariantly, so shifted benchmarks keep an exact ground truth.
 
 Evaluation is vectorised: :meth:`Objective.evaluate_many` and
-:meth:`Objective.gradient_many` act on ``(n, d)`` batches of points, and the
-single-point methods are thin wrappers around them so that scalar and batch
-callers see bit-identical arithmetic.
+:meth:`Objective.gradient_many` act on ``(n, d)`` batches of points.
 
 Each kernel computes, bit for bit, what its formula written as one
 whole-array numpy expression computes (``tests/kernel_oracle.py`` keeps
@@ -381,21 +379,19 @@ class _Landscape(NamedTuple):
     grads: Callable[..., np.ndarray]
     dimension: int | None  # the one dimension it is defined in, or None for any
     x_star: float  # every coordinate of the unshifted minimizer
-    f_star: float  # the unshifted minimum value
     # The values kernel that may screen out rows above their Armijo thresholds.
     screened: Callable[..., np.ndarray] | None = None
 
 
 _LANDSCAPES = {
-    ObjectiveKind.FLAT_BASIN_1D: _Landscape(
-        _flat_basin_values, _flat_basin_grads, 1, FLAT_BASIN_XSTAR, FLAT_BASIN_FMIN),
-    ObjectiveKind.ACKLEY_1D: _Landscape(_ackley_values, _ackley_grads, 1, 0.0, 0.0),
-    ObjectiveKind.RASTRIGIN_1D: _Landscape(_rastrigin_values, _rastrigin_grads, 1, 0.0, 0.0),
-    ObjectiveKind.ACKLEY: _Landscape(_ackley_values, _ackley_grads, None, 0.0, 0.0, _ackley_screened),
-    ObjectiveKind.RASTRIGIN: _Landscape(_rastrigin_values, _rastrigin_grads, None, 0.0, 0.0),
-    ObjectiveKind.DROP_WAVE: _Landscape(_drop_wave_values, _drop_wave_grads, None, 0.0, -1.0),
-    ObjectiveKind.ROSENBROCK_2D: _Landscape(_rosenbrock_values, _rosenbrock_grads, 2, 1.0, 0.0),
-    ObjectiveKind.QUADRATIC: _Landscape(_quadratic_values, _quadratic_grads, None, 0.0, 0.0),
+    ObjectiveKind.FLAT_BASIN_1D: _Landscape(_flat_basin_values, _flat_basin_grads, 1, FLAT_BASIN_XSTAR),
+    ObjectiveKind.ACKLEY_1D: _Landscape(_ackley_values, _ackley_grads, 1, 0.0),
+    ObjectiveKind.RASTRIGIN_1D: _Landscape(_rastrigin_values, _rastrigin_grads, 1, 0.0),
+    ObjectiveKind.ACKLEY: _Landscape(_ackley_values, _ackley_grads, None, 0.0, _ackley_screened),
+    ObjectiveKind.RASTRIGIN: _Landscape(_rastrigin_values, _rastrigin_grads, None, 0.0),
+    ObjectiveKind.DROP_WAVE: _Landscape(_drop_wave_values, _drop_wave_grads, None, 0.0),
+    ObjectiveKind.ROSENBROCK_2D: _Landscape(_rosenbrock_values, _rosenbrock_grads, 2, 1.0),
+    ObjectiveKind.QUADRATIC: _Landscape(_quadratic_values, _quadratic_grads, None, 0.0),
 }
 
 
@@ -451,31 +447,12 @@ class Objective:
         """Global minimizer as a ``(d,)`` vector."""
         return np.full(self.dimension, self._landscape.x_star) + self.shift_b
 
-    @property
-    def min_value(self) -> float:
-        """Value of the objective at :attr:`minimizer`."""
-        return self._landscape.f_star + self.shift_c
-
-    def _as_point(self, x) -> np.ndarray:
-        vec = np.atleast_1d(np.asarray(x, dtype=float))
-        if vec.shape != (self.dimension,):
-            raise ValueError(f"expected a point of shape ({self.dimension},), got {vec.shape}")
-        return vec
-
     def _shifted(self, points) -> np.ndarray:
         """``z = x - shift_b`` for an ``(n, d)`` batch: the caller's array for a shift of +0.0."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError(f"expected points of shape (n, {self.dimension}), got {pts.shape}")
         return pts if self._unshifted else pts - self.shift_b
-
-    def evaluate(self, x) -> float:
-        """Objective value at a single point ``x``."""
-        return float(self.evaluate_many(self._as_point(x)[None, :])[0])
-
-    def gradient(self, x) -> np.ndarray:
-        """Gradient at a single point; the zero vector at non-smooth minima."""
-        return self.gradient_many(self._as_point(x)[None, :])[0]
 
     def evaluate_many(self, points, thresholds: np.ndarray | None = None) -> np.ndarray:
         """Objective values for an ``(n, d)`` batch of points, as shape ``(n,)``.
@@ -500,7 +477,7 @@ class Objective:
         return values
 
     def gradient_many(self, points) -> np.ndarray:
-        """Gradients for an ``(n, d)`` batch of points, as shape ``(n, d)``."""
+        """Gradients for an ``(n, d)`` batch of points, as shape ``(n, d)``; zero at non-smooth minima."""
         z = self._shifted(points)
         return self._landscape.grads(z, *self._params)
 

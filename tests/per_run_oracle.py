@@ -179,6 +179,16 @@ def oracle_batch(obj, method, starts) -> list[RunResult]:
     return [run(obj, x0, method) for x0 in starts]
 
 
+def one_row_value(obj, x):
+    """The objective at one point ``x``, as a one-row ``evaluate_many`` call."""
+    return float(obj.evaluate_many([x])[0])
+
+
+def one_row_gradient(obj, x):
+    """The gradient at one point ``x``, as a one-row ``gradient_many`` call."""
+    return obj.gradient_many([x])[0]
+
+
 def one_row_backtrack(obj, x, g, c, params, f_x):
     """The ladder for one point, as ``backtrack_batch`` on a one-row batch: ``(h, f_new, n_evals)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -190,11 +200,11 @@ def one_row_backtrack(obj, x, g, c, params, f_x):
 def oracle_correct(obj, mean_solution, grad_tol, params, max_iters) -> CorrectionResult:
     """The correction descent on a single point, stopping at ``|grad F| < grad_tol`` or a stalled ladder."""
     x = np.array(mean_solution, dtype=float)
-    f = obj.evaluate(x)
+    f = one_row_value(obj, x)
     converged = False
     iterations = 0
     while iterations < max_iters:
-        g = obj.gradient(x)
+        g = one_row_gradient(obj, x)
         if float(np.sqrt(np.sum(g * g))) < grad_tol:
             converged = True
             break

@@ -12,7 +12,7 @@ import json
 import time
 
 import numpy as np
-from per_run_oracle import one_row_backtrack
+from per_run_oracle import one_row_backtrack, one_row_gradient, one_row_value
 
 from swarmdescent.baselines import BaselineMethod, BaselineParams, run_baseline
 from swarmdescent.cli import main as cli_main
@@ -149,7 +149,7 @@ def test_criterion_6_contraction_rate_on_the_quadratic():
         params = SBGDParams(backtrack=BacktrackParams(lam=lam, gamma=0.9, h0=1.0))
         result = run_sbgd(obj, [[3.0]], params, keep_history=True)
         rate = 1.0 - 2.0 * 0.9 * lam * (1.0 - lam)
-        f0 = obj.evaluate([3.0])
+        f0 = one_row_value(obj, [3.0])
         holds = all(
             stats.heights[0] <= rate ** (n + 1) * f0
             for n, stats in enumerate(result.history)
@@ -206,7 +206,7 @@ def test_criterion_7_invariant_suite():
         c = float(rng.uniform(0.05, 0.95))
         gamma = float(rng.uniform(0.5, 0.95))
         params = BacktrackParams(lam=c, gamma=gamma, h0=float(rng.uniform(0.5, 3.0)))
-        h, _, _ = one_row_backtrack(quad, x, quad.gradient(x), c, params, f_x=quad.evaluate(x))
+        h, _, _ = one_row_backtrack(quad, x, one_row_gradient(quad, x), c, params, f_x=one_row_value(quad, x))
         assert h > 0.0
         if h < params.h0:
             assert h >= (2.0 * gamma / mu) * (1.0 - c)
@@ -248,12 +248,12 @@ def test_criterion_7_invariant_suite():
         x = rng.uniform(-3.0, 3.0, obj.dimension)
         if np.linalg.norm(x - obj.minimizer) < 1e-3:
             continue
-        g = obj.gradient(x)
+        g = one_row_gradient(obj, x)
         fd = np.empty_like(g)
         for i in range(obj.dimension):
             e = np.zeros(obj.dimension)
             e[i] = 1e-6
-            fd[i] = (obj.evaluate(x + e) - obj.evaluate(x - e)) / 2e-6
+            fd[i] = (one_row_value(obj, x + e) - one_row_value(obj, x - e)) / 2e-6
         assert np.all(np.abs(g - fd) <= 1e-5 * (1.0 + np.abs(g)))
         checked += 1
 

@@ -87,9 +87,11 @@ def test_digests_writes_a_manifest_of_the_capture(tmp_path, monkeypatch):
 
 
 # Help at the pinned width, the seed variable, config files, CSV on stdout
-# and in written files, and a batch whose second job count starts a pool.
+# and in written files, a batch whose second job count starts a pool, and
+# numpy's warnings, which name the package's source files, with exit 3.
 _PINNED = ["help-bench", "error-seed-env", "run-flatbasin-gd08-n30", "error-unknown-key",
-           "sweep20-ackley1d-gdbt", "files-flatbasin", "bench-dropwave-sbgd11-n30-jobs2"]
+           "sweep20-ackley1d-gdbt", "files-flatbasin", "bench-dropwave-sbgd11-n30-jobs2",
+           "overflow-rosenbrock2d-sbgd", "overflow-ackley2d-h0"]
 
 
 def test_in_process_captures_equal_the_subprocess_captures(tmp_path, monkeypatch):
@@ -105,7 +107,36 @@ def test_in_process_captures_equal_the_subprocess_captures(tmp_path, monkeypatch
     assert stems == set(_PINNED)
     assert "SWARM_DESCENT_SEED must be an integer, got 'many'" in (tmp_path / "in" / "error-seed-env.stderr").read_text()
     assert (tmp_path / "in" / "files-flatbasin.runs.csv").is_file()
+    warned = (tmp_path / "in" / "overflow-rosenbrock2d-sbgd.stderr").read_text()
+    assert warned.startswith("swarmdescent/objectives.py:LINE: RuntimeWarning: overflow")
+    assert warned.endswith("relative height 0, got nan\n")
+    assert (tmp_path / "in" / "overflow-rosenbrock2d-sbgd.rc").read_text() == "3\n"
     assert capture.os.environ[capture.SEED_ENV_VAR] == "123" and capture.os.environ["COLUMNS"] == "200"
+
+
+def _line(capture, name, text):
+    """The number of the line of package file ``name`` that holds ``text``."""
+    return next(i for i, source in enumerate((capture.PACKAGE / name).read_text().splitlines(), 1)
+                if text in source)
+
+
+def test_audit_lists_the_package_lines_no_command_ran(tmp_path):
+    capture = _capture_outputs()
+    with capture.traced_lines() as reached:
+        capture.capture(tmp_path, in_process=True, stems=["error-csv-empty"])
+    listed = set()
+    for entry in capture.unreached(reached):
+        path, span, _ = entry.split(":", 2)
+        first, _, last = span.partition("-")
+        listed |= {(path, line) for line in range(int(first), int(last or first) + 1)}
+    cli, swarm = "swarmdescent/cli.py", "swarmdescent/swarm.py"
+    assert (cli, _line(capture, "cli.py", 'problem = "the path is empty"')) not in listed
+    assert (cli, _line(capture, "cli.py", 'problem = "permission denied"')) in listed
+    assert (swarm, _line(capture, "swarm.py", "def run_sbgd(")) in listed
+    # Module bodies, and the comprehensions in them, run at import.
+    for name, text in (("objectives.py", "OBJECTIVE_NAMES = "), ("cli.py", "_SETTABLE = ")):
+        assert _line(capture, name, text) not in capture.function_lines(capture.PACKAGE / name)
+    assert _line(capture, "cli.py", "def _check_output_path(") in capture.function_lines(capture.PACKAGE / "cli.py")
 
 
 def test_every_capture_matches_the_committed_manifest(tmp_path):

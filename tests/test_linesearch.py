@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from per_run_oracle import one_row_backtrack, oracle_batch
+from per_run_oracle import one_row_backtrack, one_row_gradient, one_row_value, oracle_batch
 
 from swarmdescent import baselines, harness, objectives, swarm
 from swarmdescent.cli import main as cli_main
@@ -82,7 +82,7 @@ def test_quadratic_shrinks_oversized_step():
     params = BacktrackParams(h0=2.0)
     h, f_new, n_evals = one_row_backtrack(QUAD1, [1.0], [1.0], 0.2, params, f_x=0.5)
     assert h == 2.0 * 0.9**3
-    assert f_new == QUAD1.evaluate([1.0 - h])
+    assert f_new == one_row_value(QUAD1, [1.0 - h])
     assert n_evals == 4
 
 
@@ -99,8 +99,8 @@ def test_stall_at_a_conical_minimum():
     # lands higher, so no step is acceptable and the agent stalls.
     obj = make_objective("ackley", 1)
     x = np.array([2e-15])
-    g = obj.gradient(x)
-    f_x = obj.evaluate(x)
+    g = one_row_gradient(obj, x)
+    f_x = one_row_value(obj, x)
     h, f_new, n_evals = one_row_backtrack(obj, x, g, 0.2, BacktrackParams(), f_x=f_x)
     assert h == 0.0
     assert f_new == f_x
@@ -123,13 +123,13 @@ def test_descent_condition_holds_as_evaluated():
         params = BacktrackParams(
             lam=c, gamma=float(rng.uniform(0.5, 0.95)), h0=float(rng.uniform(0.5, 2.0))
         )
-        g = obj.gradient(x)
-        f_x = obj.evaluate(x)
+        g = one_row_gradient(obj, x)
+        f_x = one_row_value(obj, x)
         h, f_new, _ = one_row_backtrack(obj, x, g, c, params, f_x=f_x)
         if h > 0.0:
             g_sq = np.sum(np.atleast_1d(g) * np.atleast_1d(g))
             assert f_new <= f_x - c * h * g_sq
-            assert f_new == obj.evaluate(x - h * np.atleast_1d(g))
+            assert f_new == one_row_value(obj, x - h * np.atleast_1d(g))
 
 
 def test_step_lower_bound_on_quadratic():
@@ -143,7 +143,7 @@ def test_step_lower_bound_on_quadratic():
         c = float(rng.uniform(0.05, 0.95))
         gamma = float(rng.uniform(0.5, 0.95))
         params = BacktrackParams(lam=c, gamma=gamma, h0=float(rng.uniform(0.5, 3.0)))
-        h, _, _ = one_row_backtrack(obj, x, obj.gradient(x), c, params, f_x=obj.evaluate(x))
+        h, _, _ = one_row_backtrack(obj, x, one_row_gradient(obj, x), c, params, f_x=one_row_value(obj, x))
         assert h > 0.0
         if h < params.h0:
             assert h >= (2.0 * gamma / mu) * (1.0 - c)
@@ -152,8 +152,8 @@ def test_step_lower_bound_on_quadratic():
 def test_step_monotone_in_descent_coefficient():
     obj = make_objective("flatbasin1d")
     x = np.array([-2.2])
-    g = obj.gradient(x)
-    f_x = obj.evaluate(x)
+    g = one_row_gradient(obj, x)
+    f_x = one_row_value(obj, x)
     steps = [
         one_row_backtrack(obj, x, g, c, BacktrackParams(lam=c), f_x=f_x)[0]
         for c in np.arange(0.1, 1.0, 0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from per_run_oracle import reference_merge
+from per_run_oracle import one_row_value, reference_merge
 
 from swarmdescent.linesearch import BacktrackParams
 from swarmdescent.objectives import make_objective
@@ -176,7 +176,7 @@ class TestRunSBGD:
         assert result.stop_reason is StopReason.RESIDUAL
         assert np.all(np.abs(result.x_sol) < 1e-4)
         assert result.f_sol < 1e-6
-        assert result.f_sol == obj.evaluate(result.x_sol)
+        assert result.f_sol == one_row_value(obj, result.x_sol)
 
     def test_stop_residual_and_iteration_count(self):
         result = run_sbgd(QUAD1, [[1.0]], SBGDParams())
